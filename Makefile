@@ -14,6 +14,12 @@
 # re-runs just the same-host transport ladder (tcp / unix socket /
 # shm ring) and folds the trio into BENCH_attrspace.json in place.
 #
+# `make perf-ab W=local-rpc N=10 BASE=HEAD~1` is the paired A/B of the
+# end-to-end benchmark (BENCHMARK.json, perfbench/): scripts/perfab.sh
+# runs N pairs of workload W on BASE (a git worktree under a scratch
+# dir) and on this checkout, alternating which goes first, and prints
+# per-metric medians, quartiles and win counts.
+#
 # `make scenario-smoke` runs the pre-built pool scenarios at smoke
 # scale under the race detector (part of tier1). `make scenario` is
 # the full tier — 10k+ host planes, shard loss under load, churn and
@@ -49,7 +55,12 @@ TDP_CHAOS_SEED ?= 1
 # (flag > TDP_SCENARIO_SEED env > 1).
 TDP_SCENARIO_SEED ?= 1
 
-.PHONY: all tier1 vet build test race chaos fuzz bench benchdiff bench-samehost scenario scenario-smoke scenariodiff
+# perf-ab's workload, pair count and base revision.
+W ?= local-rpc
+N ?= 10
+BASE ?= HEAD
+
+.PHONY: all tier1 vet build test race chaos fuzz bench benchdiff bench-samehost scenario scenario-smoke scenariodiff perf-ab
 
 all: tier1
 
@@ -107,3 +118,6 @@ bench-samehost:
 	mv BENCH_attrspace.json.merged BENCH_attrspace.json
 	@rm -f bench.samehost.json
 	@echo folded SameHostPut tcp/unix/shm into BENCH_attrspace.json
+
+perf-ab:
+	scripts/perfab.sh $(W) $(N) $(BASE)

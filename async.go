@@ -2,6 +2,7 @@ package tdp
 
 import (
 	"tdp/internal/attrspace"
+	"tdp/internal/telemetry"
 )
 
 // This file implements the asynchronous operations and event
@@ -36,7 +37,7 @@ func (h *Handle) AsyncGet(attribute string, cb Callback, arg any) error {
 	h.traceStep("tdp_async_get", attribute)
 	ch, err := h.lass.GetAsync(attribute)
 	if err != nil {
-		done()
+		done.End()
 		return err
 	}
 	go h.post(ch, cb, arg, done)
@@ -48,10 +49,10 @@ func (h *Handle) AsyncGet(attribute string, cb Callback, arg any) error {
 // tdp_async_put.
 func (h *Handle) AsyncPut(attribute, value string, cb Callback, arg any) error {
 	done := h.observe("async_put")
-	h.traceStep("tdp_async_put", attribute+"="+value)
+	h.traceKV("tdp_async_put", attribute, value)
 	ch, err := h.lass.PutAsync(attribute, value)
 	if err != nil {
-		done()
+		done.End()
 		return err
 	}
 	go h.post(ch, cb, arg, done)
@@ -61,9 +62,9 @@ func (h *Handle) AsyncPut(attribute, value string, cb Callback, arg any) error {
 // post waits for the transport completion, records the operation's
 // end-to-end latency, and queues the callback; the pending-event gauge
 // tracks the backlog the poll loop has yet to service.
-func (h *Handle) post(ch <-chan attrspace.Result, cb Callback, arg any, done func()) {
+func (h *Handle) post(ch <-chan attrspace.Result, cb Callback, arg any, done telemetry.Stopwatch) {
 	r := <-ch
-	done()
+	done.End()
 	res := Result{Attr: r.Attr, Value: r.Value, Err: r.Err}
 	if cb == nil {
 		return
@@ -78,7 +79,7 @@ func (h *Handle) post(ch <-chan attrspace.Result, cb Callback, arg any, done fun
 // therefore execute at a well-known, safe point (§3.3). This is
 // tdp_service_event.
 func (h *Handle) ServiceEvents() int {
-	defer h.observe("service_events")()
+	defer h.observe("service_events").End()
 	h.traceStep("tdp_service_event", "")
 	n := h.queue.Service()
 	h.noteEventDepth()

@@ -27,8 +27,8 @@ func (h *Handle) Put(attribute, value string) error {
 
 // PutCtx is Put with a context for cancellation and span propagation.
 func (h *Handle) PutCtx(ctx context.Context, attribute, value string) error {
-	defer h.observe("put")()
-	h.traceStep("tdp_put", attribute+"="+value)
+	defer h.observe("put").End()
+	h.traceKV("tdp_put", attribute, value)
 	return h.lass.PutCtx(ctx, attribute, value)
 }
 
@@ -44,11 +44,9 @@ func (h *Handle) PutBatch(pairs []KV) error {
 // PutBatchCtx is PutBatch with a context for cancellation and span
 // propagation.
 func (h *Handle) PutBatchCtx(ctx context.Context, pairs []KV) error {
-	defer h.observe("put_batch")()
-	if h.cfg.Trace != nil {
-		for _, p := range pairs {
-			h.traceStep("tdp_put", p.Key+"="+p.Value)
-		}
+	defer h.observe("put_batch").End()
+	for _, p := range pairs {
+		h.traceKV("tdp_put", p.Key, p.Value)
 	}
 	return h.lass.PutBatchCtx(ctx, pairs)
 }
@@ -60,11 +58,9 @@ func (h *Handle) PutBatchGlobal(pairs []KV) error {
 	if h.cass == nil && !h.cfg.GlobalViaLASS {
 		return ErrNoCASS
 	}
-	defer h.observe("put_batch_global")()
-	if h.cfg.Trace != nil {
-		for _, p := range pairs {
-			h.traceStep("tdp_put_global", p.Key+"="+p.Value)
-		}
+	defer h.observe("put_batch_global").End()
+	for _, p := range pairs {
+		h.traceKV("tdp_put_global", p.Key, p.Value)
 	}
 	if h.cfg.GlobalViaLASS {
 		return h.lass.PutBatchGlobal(context.Background(), pairs)
@@ -76,7 +72,7 @@ func (h *Handle) PutBatchGlobal(pairs []KV) error {
 // its value (the paper's blocking tdp_get). Cancel through ctx; a span
 // carried by ctx propagates to the server.
 func (h *Handle) Get(ctx context.Context, attribute string) (string, error) {
-	defer h.observe("get")()
+	defer h.observe("get").End()
 	h.traceStep("tdp_get", attribute)
 	return h.lass.Get(ctx, attribute)
 }
@@ -84,19 +80,19 @@ func (h *Handle) Get(ctx context.Context, attribute string) (string, error) {
 // TryGet returns the attribute's current value without blocking, or
 // ErrNotFound.
 func (h *Handle) TryGet(attribute string) (string, error) {
-	defer h.observe("tryget")()
+	defer h.observe("tryget").End()
 	return h.lass.TryGet(attribute)
 }
 
 // Delete removes an attribute from the local space.
 func (h *Handle) Delete(attribute string) error {
-	defer h.observe("delete")()
+	defer h.observe("delete").End()
 	return h.lass.Delete(attribute)
 }
 
 // Snapshot copies every attribute in the local space's context.
 func (h *Handle) Snapshot() (map[string]string, error) {
-	defer h.observe("snapshot")()
+	defer h.observe("snapshot").End()
 	return h.lass.Snapshot()
 }
 
@@ -112,8 +108,8 @@ func (h *Handle) PutGlobalCtx(ctx context.Context, attribute, value string) erro
 	if h.cass == nil && !h.cfg.GlobalViaLASS {
 		return ErrNoCASS
 	}
-	defer h.observe("put_global")()
-	h.traceStep("tdp_put_global", attribute+"="+value)
+	defer h.observe("put_global").End()
+	h.traceKV("tdp_put_global", attribute, value)
 	if h.cfg.GlobalViaLASS {
 		return h.lass.PutGlobal(ctx, attribute, value)
 	}
@@ -127,7 +123,7 @@ func (h *Handle) GetGlobal(ctx context.Context, attribute string) (string, error
 	if h.cass == nil && !h.cfg.GlobalViaLASS {
 		return "", ErrNoCASS
 	}
-	defer h.observe("get_global")()
+	defer h.observe("get_global").End()
 	h.traceStep("tdp_get_global", attribute)
 	if h.cfg.GlobalViaLASS {
 		return h.lass.GetGlobal(ctx, attribute)
@@ -140,7 +136,7 @@ func (h *Handle) TryGetGlobal(attribute string) (string, error) {
 	if h.cass == nil && !h.cfg.GlobalViaLASS {
 		return "", ErrNoCASS
 	}
-	defer h.observe("tryget_global")()
+	defer h.observe("tryget_global").End()
 	if h.cfg.GlobalViaLASS {
 		return h.lass.TryGetGlobal(context.Background(), attribute)
 	}
@@ -171,7 +167,7 @@ func (h *Handle) SnapshotGlobalMany(ctx context.Context, contexts []string) (map
 	if !ok {
 		return nil, attrspace.ErrNoGlobal
 	}
-	defer h.observe("snapshot_global_many")()
+	defer h.observe("snapshot_global_many").End()
 	return api.SnapshotGlobalMany(ctx, contexts)
 }
 
@@ -185,6 +181,6 @@ func (h *Handle) GlobalContexts(ctx context.Context) ([]string, error) {
 	if !ok {
 		return nil, attrspace.ErrNoGlobal
 	}
-	defer h.observe("global_contexts")()
+	defer h.observe("global_contexts").End()
 	return api.GlobalContexts(ctx)
 }

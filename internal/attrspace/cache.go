@@ -471,6 +471,10 @@ func (gc *GlobalCache) PutBatch(ctx context.Context, contextName string, pairs [
 // one upstream round trip. A cached tombstone answers ErrNotFound
 // locally — that is a hit: the deletion is known, not guessed.
 func (gc *GlobalCache) TryGet(ctx context.Context, contextName, attribute string) (string, uint64, error) {
+	sh := gc.shard(contextName)
+	if sh.down() {
+		return "", 0, sh.downErr()
+	}
 	cc, err := gc.ctx(ctx, contextName)
 	if err != nil {
 		return "", 0, err
@@ -484,7 +488,6 @@ func (gc *GlobalCache) TryGet(ctx context.Context, contextName, attribute string
 		return v, seq, nil
 	}
 	tel.cacheMiss.Inc()
-	sh := gc.shard(contextName)
 	v, seq, err := sh.tryGet(ctx, contextName, attribute)
 	if errors.Is(err, errNoCtxOp) {
 		sh.cFallback.Inc()
@@ -503,8 +506,14 @@ func (gc *GlobalCache) TryGet(ctx context.Context, contextName, attribute string
 // is forwarded to the CASS and the result fills the cache. The wait
 // always rides the per-context connection, never the pooled shard
 // path: a drain cycle must not stall behind an op that may block
-// forever.
+// forever. Neither read serves a shard that is marked down from the
+// cache: its entries can no longer be kept coherent, so the read fails
+// fast like every other op in that range instead of racing the cache
+// context's teardown.
 func (gc *GlobalCache) Get(ctx context.Context, contextName, attribute string) (string, uint64, error) {
+	if sh := gc.shard(contextName); sh.down() {
+		return "", 0, sh.downErr()
+	}
 	cc, err := gc.ctx(ctx, contextName)
 	if err != nil {
 		return "", 0, err

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tdp/internal/attr"
 	"tdp/internal/telemetry"
@@ -78,16 +77,35 @@ type KV = attr.KV
 // Client is a connection to a LASS or CASS, joined to one context.
 // It is safe for concurrent use; any number of blocking Gets may be
 // outstanding simultaneously.
+//
+// Who reads the connection: whoever holds the read token (reader)
+// calls Recv and routes everything it gets through route. On a socket
+// the background reader (readLoop) holds the token for the
+// connection's whole life, because only a reader learns that the peer
+// died. Once the connection runs over the shm ring, whose doorbell
+// reports peer death on its own, a caller waiting on a reply borrows
+// the token and reads that reply itself (readFor), and the background
+// reader runs only while something else needs reading.
 type Client struct {
 	wc  *wire.Conn
 	raw net.Conn
 
 	mu       sync.Mutex
 	nextID   uint64
-	pending  map[string]chan *wire.Message
+	slots    map[uint64]*replySlot // outstanding requests by id
+	free     []*replySlot          // recycled slots
 	closed   bool
 	draining bool // server sent CLOSE; no new sends, replies still land
 	err      error
+
+	// Read token state. wake rouses the background reader once it has
+	// given the token up; dead is the ring's doorbell-death signal (nil
+	// on a socket); evq holds events a borrowing caller read, which only
+	// the background reader may deliver.
+	reader tokenHolder
+	wake   chan struct{}
+	dead   <-chan struct{}
+	evq    []Event
 
 	events  chan Event
 	handler func(Event) // when set, replaces the events channel
@@ -95,20 +113,12 @@ type Client struct {
 	subbed  bool
 
 	// Transport v2 state, fixed once HELLO's OK lands: the granted
-	// capability set, the stream mux (nil on a v1 connection), and the
-	// reassembly buffer for chunked bulk replies, keyed by request id.
-	caps   map[string]bool
-	mux    *wire.Mux
-	chunks map[string][]*wire.Message
+	// capability set and the stream mux (nil on a v1 connection).
+	caps map[string]bool
+	mux  *wire.Mux
 
-	// Transport v3 cutover state. shmSwapID names the in-flight SHMRDY
-	// request: when its reply arrives, the read loop activates the ring
-	// endpoint and swaps the conn's read side onto it BEFORE delivering
-	// the reply — the very next frame already arrives over shared
-	// memory. Registered under mu by the same send that registers the
-	// pending-reply slot, so the reply can never race the registration.
-	shmSwapID string
-	shmSwapEP *wire.ShmEndpoint
+	// shmActive is set once the transport-v3 cutover completed; from
+	// then on callers may borrow the read token.
 	shmActive bool
 
 	// Async-put coalescing state: queued puts accumulate in putq while
@@ -127,6 +137,42 @@ type Client struct {
 	// root span per operation when the caller supplied none.
 	reg    *telemetry.Registry
 	tracer *telemetry.Tracer
+}
+
+// tokenHolder says who holds a client's read token.
+type tokenHolder uint8
+
+const (
+	noReader tokenHolder = iota
+	backgroundReader
+	callerReader
+)
+
+// replySlot is one outstanding request's entry in the reply table.
+// Slots are recycled, so a steady stream of requests allocates neither
+// slots nor channels.
+type replySlot struct {
+	id    uint64
+	ch    chan *wire.Message // cap 1: the final reply, or fail's synthetic ERROR
+	parts []*wire.Message    // interior parts of a chunked reply, in order
+	// swap is the ring endpoint to cut the read side over to when this
+	// request — SHMRDY — is answered OK (see upgradeShm).
+	swap *wire.ShmEndpoint
+}
+
+// newClient wraps an open connection and starts its background reader,
+// which owns the read side until a shm cutover lets callers borrow it.
+func newClient(raw net.Conn) *Client {
+	c := &Client{
+		wc:     wire.NewConn(raw),
+		raw:    raw,
+		slots:  make(map[uint64]*replySlot),
+		events: make(chan Event, 64),
+		wake:   make(chan struct{}, 1),
+		reader: backgroundReader,
+	}
+	go c.readLoop()
+	return c
 }
 
 // Dial connects to the server at addr using dial and joins the named
@@ -163,37 +209,52 @@ func dialWithCaps(ctx context.Context, dial DialFunc, addr, contextName string, 
 	if wire.ShmSupported() && sameHostConn(raw) {
 		caps = append(append([]string(nil), caps...), wire.CapShm)
 	}
-	c := &Client{
-		wc:      wire.NewConn(raw),
-		raw:     raw,
-		pending: make(map[string]chan *wire.Message),
-		chunks:  make(map[string][]*wire.Message),
-		events:  make(chan Event, 64),
-	}
-	go c.readLoop()
+	c := newClient(raw)
+	// Watchdog: a cancelled handshake closes the transport, which fails
+	// the read loop and errors the pending HELLO promptly. It is stopped
+	// and waited for before the client is handed out, so a deadline
+	// that expires as the handshake completes cannot close the
+	// connection under a caller that was told it succeeded.
+	stopWatchdog := func() bool { return false }
 	if ctx.Done() != nil {
-		// Watchdog: a cancelled handshake closes the transport, which
-		// fails the read loop and errors the pending HELLO promptly.
 		stop := make(chan struct{})
-		defer close(stop)
+		fired := make(chan bool, 1)
 		go func() {
 			select {
 			case <-ctx.Done():
 				raw.Close()
+				fired <- true
 			case <-stop:
+				fired <- false
 			}
 		}()
+		stopWatchdog = func() bool {
+			close(stop)
+			return <-fired
+		}
 	}
+	err = c.handshake(ctx, contextName, caps)
+	if stopWatchdog() && err == nil {
+		err = fmt.Errorf("attrspace: hello: %w", ctx.Err())
+	}
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// handshake joins contextName with HELLO, fixes the granted transport
+// capabilities and, when shm was granted, cuts over to the ring.
+func (c *Client) handshake(ctx context.Context, contextName string, caps []string) error {
 	hello := wire.NewMessage("HELLO").Set("context", contextName).
 		Set("caps", strings.Join(caps, ","))
 	reply, err := c.call(ctx, "HELLO", hello)
 	if err != nil {
-		c.Close()
-		return nil, fmt.Errorf("attrspace: hello: %w", err)
+		return fmt.Errorf("attrspace: hello: %w", err)
 	}
 	if reply.Verb != "OK" {
-		c.Close()
-		return nil, fmt.Errorf("attrspace: hello rejected: %s", reply.Get("error"))
+		return fmt.Errorf("attrspace: hello rejected: %s", reply.Get("error"))
 	}
 	// A v1 server ignored the caps field and granted nothing; a v2
 	// server replies with the intersection. Either way both ends now
@@ -213,15 +274,15 @@ func dialWithCaps(ctx context.Context, dial DialFunc, addr, contextName string, 
 			c.upgradeShm(reply.Get("shmfile"))
 		}
 	}
-	return c, nil
+	return nil
 }
 
 // upgradeShm performs the client half of the transport-v3 cutover: map
 // the segment the server created, announce readiness with SHMRDY (the
 // last framed bytes this client ever writes to the socket), and swap
 // the conn's write side onto the ring once the server's OK lands. The
-// read-side swap happens inside the read loop (see readLoop), which is
-// the only place that knows no framed socket byte follows the OK.
+// read-side swap happens in route, on the goroutine that read the OK:
+// it is the only place that knows no framed socket byte follows it.
 // Failing anywhere before SHMRDY just leaves the connection on the
 // socket; the server only cuts over when SHMRDY arrives.
 func (c *Client) upgradeShm(path string) {
@@ -233,9 +294,7 @@ func (c *Client) upgradeShm(path string) {
 		return
 	}
 	ep := seg.Endpoint(false, c.raw)
-	ch, _, err := c.sendHook(wire.NewMessage("SHMRDY"), func(id string) {
-		c.shmSwapID, c.shmSwapEP = id, ep
-	})
+	s, err := c.register(wire.NewMessage("SHMRDY"), ep)
 	if err != nil {
 		return
 	}
@@ -244,20 +303,18 @@ func (c *Client) upgradeShm(path string) {
 	// else can write to the socket behind SHMRDY, and the only traffic
 	// the read loop can see before this reply is the reply itself (a
 	// conn failure delivers a synthetic ERROR here instead).
-	reply := <-ch
+	reply, _, _ := c.wait(context.Background(), s)
 	if reply.Verb != "OK" {
-		c.mu.Lock()
-		c.shmSwapID, c.shmSwapEP = "", nil
-		c.mu.Unlock()
 		return
 	}
-	// The read loop has already activated the doorbell and swapped the
+	// The reader has already activated the doorbell and swapped the
 	// read side (before delivering the OK). Swapping the write side
 	// completes the cutover; the request that follows is the first
 	// frame through the ring.
 	c.wc.SwapWrite(ep)
 	c.mu.Lock()
 	c.shmActive = true
+	c.dead = ep.Dead()
 	c.mu.Unlock()
 }
 
@@ -284,133 +341,286 @@ func (c *Client) HasCap(name string) bool {
 	return c.caps[name]
 }
 
+// readLoop is the background reader. It starts out holding the read
+// token; on a shm connection it gives the token up whenever nothing
+// but a borrowing caller needs the conn read, and takes it back when
+// woken (see awaitTurn).
 func (c *Client) readLoop() {
 	for {
-		m, err := c.wc.Recv()
+		m, err := c.recv()
 		if err != nil {
-			// A transport error after a CLOSE announcement is the
-			// drain completing, not an unexpected loss: report it as
-			// such so retrying callers classify it correctly.
-			c.mu.Lock()
-			draining := c.draining
-			c.mu.Unlock()
-			if draining {
-				err = ErrServerDraining
-			}
-			c.fail(err)
+			c.readFailed(err)
 			return
 		}
-		if x := c.muxer(); x != nil {
-			if _, handled := x.Accept(m); handled {
-				continue // pure transport (WINUP), nothing to dispatch
-			}
+		if _, stop := c.route(m, false); stop {
+			return
 		}
-		if m.Verb == "EVENT" {
-			seq, _ := strconv.ParseUint(m.Get("seq"), 10, 64)
-			lost, _ := strconv.ParseUint(m.Get("lost"), 10, 64)
-			ev := Event{Attr: m.Get("attr"), Value: m.Get("value"), Op: m.Get("op"), Seq: seq, Lost: lost}
-			c.mu.Lock()
-			handler := c.handler
-			c.mu.Unlock()
-			if handler != nil {
-				// Synchronous delivery: the handler observes every event
-				// in server order with no client-side drops. It must not
-				// block on this client's own operations.
-				handler(ev)
-				continue
-			}
-			select {
-			case c.events <- ev:
-			default:
-				// The event buffer is full; drop-oldest keeps the
-				// connection from deadlocking against a slow consumer.
-				select {
-				case <-c.events:
-				default:
-				}
-				select {
-				case c.events <- ev:
-				default:
-				}
-			}
-			continue
+		if !c.keepReading() && !c.awaitTurn() {
+			return
 		}
-		if m.Verb == "CLOSE" {
-			// GOAWAY-style drain announcement: the server finishes the
-			// replies already in flight, then closes. Stop issuing new
-			// requests now; fail once the last pending reply lands (or
-			// immediately when nothing is outstanding).
-			c.mu.Lock()
-			c.draining = true
-			idle := len(c.pending) == 0
-			c.mu.Unlock()
-			if idle {
-				c.fail(ErrServerDraining)
-				return
-			}
-			continue
+	}
+}
+
+// readFor is a caller's wait for slot s when the wait cannot be
+// cancelled: it borrows the read token and reads until s has its
+// reply, routing everything else it reads on the way. It reads only on
+// a shm connection of a client with no subscription and no event
+// handler, and only while s is still outstanding; otherwise it makes
+// sure someone else is reading and returns. Either way s's reply then
+// arrives on s.ch.
+func (c *Client) readFor(s *replySlot) {
+	c.mu.Lock()
+	if c.reader != noReader || c.closed || !c.shmActive || c.subbed || c.handler != nil || c.slots[s.id] != s {
+		c.mu.Unlock()
+		c.ensureReader()
+		return
+	}
+	c.reader = callerReader
+	c.mu.Unlock()
+	for {
+		m, err := c.recv()
+		if err != nil {
+			c.readFailed(err)
+			break
 		}
-		id := m.Get("id")
-		if m.Get("more") == "1" {
-			// Interior chunk of a multi-part bulk reply (CapChunk):
-			// buffer it against the request id; the final part (no
-			// `more`) is delivered through the pending channel as usual
-			// and the call site collects the buffered parts. Chunks for
-			// an abandoned request are dropped, not accumulated.
-			c.mu.Lock()
-			if _, live := c.pending[id]; live {
-				c.chunks[id] = append(c.chunks[id], m)
-			}
-			c.mu.Unlock()
-			continue
+		if got, stop := c.route(m, true); got == s || stop {
+			break
+		}
+	}
+	c.mu.Lock()
+	c.reader = noReader
+	wake := !c.closed && c.needReaderLocked()
+	c.mu.Unlock()
+	if wake {
+		c.wakeReader()
+	}
+}
+
+// recv reads one message into a pooled Message. Messages the client
+// consumes itself go back with Release; replies go to their callers.
+func (c *Client) recv() (*wire.Message, error) {
+	m := wire.NewMessage("")
+	if err := c.wc.RecvInto(m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// ensureReader wakes the background reader when nobody holds the read
+// token: a waiter that does not read for itself calls it so its reply
+// cannot sit unread in the ring.
+func (c *Client) ensureReader() {
+	c.mu.Lock()
+	idle := c.reader == noReader && !c.closed
+	c.mu.Unlock()
+	if idle {
+		c.wakeReader()
+	}
+}
+
+func (c *Client) wakeReader() {
+	select {
+	case c.wake <- struct{}{}:
+	default:
+	}
+}
+
+// needReaderLocked reports whether the conn must be read for someone
+// other than a borrowing caller: a reply is outstanding, the client is
+// subscribed, a caller queued events, or the ring died and its last
+// bytes and error must be collected. Callers hold mu.
+func (c *Client) needReaderLocked() bool {
+	if len(c.slots) > 0 || c.subbed || len(c.evq) > 0 {
+		return true
+	}
+	select {
+	case <-c.dead:
+		return true
+	default:
+		return false
+	}
+}
+
+// keepReading is the background reader's check between messages. On a
+// socket it always reads on; on a shm connection it gives up the token
+// once nothing needs reading.
+func (c *Client) keepReading() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.shmActive || c.needReaderLocked() {
+		return true
+	}
+	c.reader = noReader
+	return false
+}
+
+// awaitTurn parks the background reader until it is woken, something
+// needs reading and the token is free; then it takes the token and
+// first delivers any events a borrowing caller queued. It returns false
+// once the client is closed. It checks only after a wakeup: a request
+// registered since the token was given up belongs to a caller about to
+// read for itself, and whoever needs the background reader wakes it.
+func (c *Client) awaitTurn() bool {
+	c.mu.Lock()
+	dead := c.dead
+	c.mu.Unlock()
+	for {
+		select {
+		case <-c.wake:
+		case <-dead:
+			// Watch the death only once: if a caller holds the token, its
+			// release (which sees the death) wakes us.
+			dead = nil
 		}
 		c.mu.Lock()
-		ch := c.pending[id]
-		delete(c.pending, id)
-		if ch == nil {
-			delete(c.chunks, id)
+		if c.closed {
+			c.mu.Unlock()
+			return false
 		}
-		var swapEP *wire.ShmEndpoint
-		if id != "" && id == c.shmSwapID && m.Verb == "OK" {
-			swapEP, c.shmSwapID, c.shmSwapEP = c.shmSwapEP, "", nil
+		if c.reader == noReader && c.needReaderLocked() {
+			c.reader = backgroundReader
+			queued := c.evq
+			c.evq = nil
+			c.mu.Unlock()
+			for _, ev := range queued {
+				c.deliver(ev)
+			}
+			return true
 		}
-		drained := c.draining && len(c.pending) == 0
 		c.mu.Unlock()
-		if swapEP != nil {
+	}
+}
+
+// route dispatches one message read off the conn. It is the one
+// dispatch function for every reader: whoever holds the read token
+// routes everything it reads — other callers' replies, chunked parts,
+// CLOSE and mux window updates. It returns the slot the message
+// completed, if any, and whether the reader must give up the token:
+// the client failed, or (caller true) an event arrived, which only the
+// background reader may deliver — event handlers must never run on a
+// caller's goroutine.
+func (c *Client) route(m *wire.Message, caller bool) (*replySlot, bool) {
+	if x := c.muxer(); x != nil {
+		if _, handled := x.Accept(m); handled {
+			m.Release()
+			return nil, false // pure transport (WINUP), nothing to dispatch
+		}
+	}
+	switch m.Verb {
+	case "EVENT":
+		seq, _ := strconv.ParseUint(m.Get("seq"), 10, 64)
+		lost, _ := strconv.ParseUint(m.Get("lost"), 10, 64)
+		ev := Event{Attr: m.Get("attr"), Value: m.Get("value"), Op: m.Get("op"), Seq: seq, Lost: lost}
+		m.Release()
+		if caller {
+			c.mu.Lock()
+			c.evq = append(c.evq, ev)
+			c.mu.Unlock()
+			return nil, true
+		}
+		c.deliver(ev)
+		return nil, false
+	case "CLOSE":
+		// GOAWAY-style drain announcement: the server finishes the
+		// replies already in flight, then closes. Stop issuing new
+		// requests now; fail once the last pending reply lands (or
+		// immediately when nothing is outstanding).
+		m.Release()
+		c.mu.Lock()
+		c.draining = true
+		idle := len(c.slots) == 0
+		c.mu.Unlock()
+		if idle {
+			c.fail(ErrServerDraining)
+			return nil, true
+		}
+		return nil, false
+	}
+	id, _ := strconv.ParseUint(m.Get("id"), 10, 64)
+	c.mu.Lock()
+	s := c.slots[id]
+	if s != nil && m.Get("more") == "1" {
+		// Interior part of a chunked bulk reply (CapChunk): keep it with
+		// the request; the final part (no `more`) completes the slot.
+		// Parts for an abandoned request find no slot and are dropped.
+		s.parts = append(s.parts, m)
+		c.mu.Unlock()
+		return nil, false
+	}
+	if s != nil {
+		delete(c.slots, id)
+	}
+	drained := c.draining && len(c.slots) == 0
+	c.mu.Unlock()
+	if s != nil {
+		if s.swap != nil && m.Verb == "OK" {
 			// Transport-v3 cutover: this OK answers our SHMRDY and is the
 			// last framed byte the socket will ever carry — the server
 			// swapped its write side right after sending it. Hand the
 			// socket to the doorbell and read everything further from the
 			// ring, before the waiter sees the reply (so its first request
 			// cannot outrun the swap).
-			swapEP.Activate()
-			c.wc.SwapRead(swapEP)
+			s.swap.Activate()
+			c.wc.SwapRead(s.swap)
 		}
-		if ch != nil {
-			ch <- m
+		s.ch <- m
+	} else {
+		m.Release() // the reply to an abandoned request
+	}
+	if drained {
+		c.fail(ErrServerDraining)
+		return s, true
+	}
+	return s, false
+}
+
+// deliver hands one pushed event to the handler or the Events channel.
+func (c *Client) deliver(ev Event) {
+	c.mu.Lock()
+	handler := c.handler
+	c.mu.Unlock()
+	if handler != nil {
+		// Synchronous delivery: the handler observes every event in
+		// server order with no client-side drops. It must not block on
+		// this client's own operations.
+		handler(ev)
+		return
+	}
+	select {
+	case c.events <- ev:
+	default:
+		// The event buffer is full; drop-oldest keeps the connection
+		// from deadlocking against a slow consumer.
+		select {
+		case <-c.events:
+		default:
 		}
-		if drained {
-			c.fail(ErrServerDraining)
-			return
+		select {
+		case c.events <- ev:
+		default:
 		}
 	}
 }
 
-// takeChunks removes and returns the buffered interior parts of a
-// chunked reply; call with the final part's request id in hand.
-func (c *Client) takeChunks(id string) []*wire.Message {
+// readFailed ends the client on a read error. A transport error after
+// a CLOSE announcement is the drain completing, not an unexpected
+// loss: it is reported as such so retrying callers classify it
+// correctly.
+func (c *Client) readFailed(err error) {
 	c.mu.Lock()
-	parts := c.chunks[id]
-	delete(c.chunks, id)
+	draining := c.draining
 	c.mu.Unlock()
-	return parts
+	if draining {
+		err = ErrServerDraining
+	}
+	c.fail(err)
 }
 
 // fail moves the client to its terminal state exactly once: every
 // pending reply slot receives a synthetic connection-error reply (the
 // "conn" tag distinguishes it from a real server ERROR, so callers see
 // ErrConnLost rather than a server fault), the event channel closes,
-// and the OnClose hook fires. It is called from the read loop on any
+// and the OnClose hook fires. It is called by the reader on any
 // transport error, from send on a write error (a partial write corrupts
 // framing — the connection is unusable), and from Close.
 func (c *Client) fail(err error) {
@@ -421,17 +631,18 @@ func (c *Client) fail(err error) {
 	}
 	c.closed = true
 	c.err = err
-	pending := c.pending
-	c.pending = make(map[string]chan *wire.Message)
-	c.chunks = make(map[string][]*wire.Message)
+	pending := c.slots
+	c.slots = make(map[uint64]*replySlot)
 	mux := c.mux
 	onClose := c.onClose
 	c.mu.Unlock()
+	c.wakeReader() // a parked background reader exits
 	if mux != nil {
 		mux.Fail(err)
 	}
-	for id, ch := range pending {
-		ch <- wire.NewMessage("ERROR").Set("id", id).Set("error", err.Error()).Set("conn", "1")
+	for id, s := range pending {
+		s.ch <- wire.NewMessage("ERROR").Set("id", strconv.FormatUint(id, 10)).
+			Set("error", err.Error()).Set("conn", "1")
 	}
 	close(c.events)
 	c.raw.Close()
@@ -441,12 +652,13 @@ func (c *Client) fail(err error) {
 }
 
 // SetEventHandler installs a function invoked synchronously from the
-// read loop for every pushed EVENT, replacing delivery on the Events
-// channel. Unlike the channel (which drops oldest when the consumer
-// lags), a handler observes every event the server sent, in order —
-// the property a coherent mirror needs. Install it before Subscribe;
-// the handler must not call back into this client's blocking
-// operations (it runs on the loop that would receive their replies).
+// background reader for every pushed EVENT, replacing delivery on the
+// Events channel. Unlike the channel (which drops oldest when the
+// consumer lags), a handler observes every event the server sent, in
+// order — the property a coherent mirror needs. Install it before
+// Subscribe; the handler must not call back into this client's
+// blocking operations (it runs on the loop that would receive their
+// replies).
 func (c *Client) SetEventHandler(fn func(Event)) {
 	c.mu.Lock()
 	c.handler = fn
@@ -459,7 +671,8 @@ func (c *Client) SetEventHandler(fn func(Event)) {
 // trigger reconnection. Installing the hook on an already-failed
 // client invokes it immediately (on the calling goroutine) — without
 // this, a client that dies between Dial and OnClose would never signal
-// anyone.
+// anyone. On a shm connection the hook fires when the ring's doorbell
+// dies even if no request is outstanding.
 func (c *Client) OnClose(fn func(error)) {
 	c.mu.Lock()
 	if c.closed {
@@ -491,104 +704,154 @@ func (c *Client) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer)
 	}
 }
 
+// opObservation is the client-side record of one operation in flight:
+// its latency stopwatch and its span, either of which may be inert.
+type opObservation struct {
+	lat  telemetry.Stopwatch
+	span *telemetry.Span
+}
+
+// End records the operation's latency and ends its span.
+func (o opObservation) End() {
+	o.lat.End()
+	o.span.End()
+}
+
 // instrument opens the client-side observation of one operation: it
-// bumps the verb counter, starts (or continues) a span, stamps the
-// trace fields onto m, and returns a func to call when the reply is
-// in. Returns a no-op when no telemetry is configured and no span is
-// in ctx.
-func (c *Client) instrument(ctx context.Context, verb string, m *wire.Message) func() {
+// bumps the verb counter, starts (or continues) a span, and stamps the
+// trace fields onto m. The result is inert when no telemetry is
+// configured and no span is in ctx.
+func (c *Client) instrument(ctx context.Context, verb string, m *wire.Message) opObservation {
 	c.mu.Lock()
 	reg, tracer := c.reg, c.tracer
 	c.mu.Unlock()
 
-	var span *telemetry.Span
+	var o opObservation
 	if parent := telemetry.FromContext(ctx); parent != nil {
-		span = parent.StartChild("client." + strings.ToLower(verb))
+		o.span = parent.StartChild("client." + strings.ToLower(verb))
 	} else if tracer != nil {
-		span = tracer.StartSpan("client." + strings.ToLower(verb))
+		o.span = tracer.StartSpan("client." + strings.ToLower(verb))
 	}
-	if span != nil {
+	if o.span != nil {
 		if a := m.Get("attr"); a != "" {
-			span.Set("attr", a)
+			o.span.Set("attr", a)
 		}
-		m.SetTrace(span.TraceID(), span.SpanID())
+		m.SetTrace(o.span.TraceID(), o.span.SpanID())
 	}
-
-	var lat *telemetry.Histogram
 	if reg != nil {
 		v := strings.ToLower(verb)
 		reg.Counter("client.ops." + v).Inc()
-		lat = reg.Histogram("client.latency."+v, nil)
+		o.lat = reg.Histogram("client.latency."+v, nil).Start()
 	}
-	start := time.Now()
-	return func() {
-		if lat != nil {
-			lat.Since(start)
-		}
-		span.End()
-	}
+	return o
 }
 
-// call sends a request and waits for its tagged reply.
+// call sends a request and waits for its tagged reply. It takes
+// ownership of m, releasing it once sent; a caller done reading the
+// reply may Release it too.
 func (c *Client) call(ctx context.Context, verb string, m *wire.Message) (*wire.Message, error) {
-	done := c.instrument(ctx, verb, m)
-	defer done()
-	ch, id, err := c.send(m)
+	reply, _, err := c.callParts(ctx, verb, m)
+	return reply, err
+}
+
+// callParts is call for verbs whose reply may arrive in chunks: parts
+// holds the interior parts in order, the final one being reply. Like
+// call, it releases the request m once it is sent.
+func (c *Client) callParts(ctx context.Context, verb string, m *wire.Message) (reply *wire.Message, parts []*wire.Message, err error) {
+	o := c.instrument(ctx, verb, m)
+	defer o.End()
+	s, err := c.send(m)
+	m.Release()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	return c.wait(ctx, s)
+}
+
+// wait blocks until slot s has its reply (plus any interior chunk
+// parts) or ctx ends. A wait that cannot be cancelled reads the reply
+// itself when the connection allows it (readFor); a cancellable one
+// leaves reading to the background reader, because a Recv in progress
+// cannot be abandoned.
+func (c *Client) wait(ctx context.Context, s *replySlot) (*wire.Message, []*wire.Message, error) {
+	if ctx.Done() == nil {
+		c.readFor(s)
+	} else {
+		c.ensureReader()
 	}
 	select {
-	case reply := <-ch:
-		return reply, nil
+	case reply := <-s.ch:
+		parts := s.parts
+		c.recycle(s)
+		return reply, parts, nil
 	case <-ctx.Done():
 		c.mu.Lock()
-		delete(c.pending, id)
-		delete(c.chunks, id)
+		owned := c.slots[s.id] == s
+		if owned {
+			delete(c.slots, s.id)
+		}
 		c.mu.Unlock()
-		return nil, ctx.Err()
+		if owned {
+			// Still in the table, so no reply was or will be delivered:
+			// the slot can be reused. Otherwise the reply is on its way
+			// and the slot is left to the garbage collector.
+			c.recycle(s)
+		}
+		return nil, nil, ctx.Err()
 	}
 }
 
-// send registers a pending reply slot and transmits the request. A
-// write error is terminal for the whole connection, not just this
-// request: the frame may have left partially, so the stream's framing
-// can no longer be trusted, and a connection whose write half is dead
-// while its read half blocks would otherwise strand every other
-// pending reply forever. fail drains them all exactly once.
-func (c *Client) send(m *wire.Message) (chan *wire.Message, string, error) {
-	return c.sendHook(m, nil)
+// recycle returns a completed slot to the free list.
+func (c *Client) recycle(s *replySlot) {
+	s.parts, s.swap = nil, nil
+	c.mu.Lock()
+	c.free = append(c.free, s)
+	c.mu.Unlock()
 }
 
-// sendHook is send with an optional hook invoked under mu right after
-// the pending-reply slot is registered — atomically with it, from the
-// read loop's point of view. The transport-v3 cutover uses it to
-// register the SHMRDY swap state: registering after send returned
-// would let the reply arrive first and the read-side swap never
-// happen.
-func (c *Client) sendHook(m *wire.Message, hook func(id string)) (chan *wire.Message, string, error) {
+// send registers a reply slot and transmits the request. A write error
+// is terminal for the whole connection, not just this request: the
+// frame may have left partially, so the stream's framing can no longer
+// be trusted, and a connection whose write half is dead while its read
+// half blocks would otherwise strand every other pending reply
+// forever. fail drains them all exactly once.
+func (c *Client) send(m *wire.Message) (*replySlot, error) {
+	return c.register(m, nil)
+}
+
+// register is send with the slot's SHMRDY swap endpoint set before the
+// slot becomes visible to readers: setting it after send returned would
+// let the reply arrive first and the read-side swap never happen.
+func (c *Client) register(m *wire.Message, swap *wire.ShmEndpoint) (*replySlot, error) {
 	c.mu.Lock()
 	if c.closed {
 		err := c.err
 		c.mu.Unlock()
-		if err == nil {
-			err = ErrClientClosed
+		if !IsRetryable(err) {
+			// The transport failed: the request never left, which a
+			// retrying caller must be able to tell from a server error.
+			err = fmt.Errorf("%w: %v", ErrConnLost, err)
 		}
-		return nil, "", err
+		return nil, err
 	}
 	if c.draining {
 		c.mu.Unlock()
-		return nil, "", ErrServerDraining
+		return nil, ErrServerDraining
+	}
+	var s *replySlot
+	if n := len(c.free); n > 0 {
+		s = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		s = &replySlot{ch: make(chan *wire.Message, 1)}
 	}
 	c.nextID++
-	id := strconv.FormatUint(c.nextID, 10)
-	ch := make(chan *wire.Message, 1)
-	c.pending[id] = ch
-	if hook != nil {
-		hook(id)
-	}
+	s.id = c.nextID
+	s.swap = swap
+	c.slots[s.id] = s
 	x := c.mux
 	c.mu.Unlock()
-	m.Set("id", id)
+	m.Set("id", strconv.FormatUint(s.id, 10))
 	// Requests ride the control stream (never window-limited); routing
 	// them through the mux lets accumulated receive-side credit grants
 	// piggyback instead of costing explicit WINUP frames.
@@ -600,9 +863,9 @@ func (c *Client) sendHook(m *wire.Message, hook func(id string)) (chan *wire.Mes
 	}
 	if err != nil {
 		c.fail(err)
-		return nil, "", fmt.Errorf("%w: %v", ErrConnLost, err)
+		return nil, fmt.Errorf("%w: %v", ErrConnLost, err)
 	}
-	return ch, id, nil
+	return s, nil
 }
 
 func replyErr(reply *wire.Message) error {
@@ -649,6 +912,7 @@ func (c *Client) PutCtx(ctx context.Context, attribute, value string) error {
 	if err != nil {
 		return err
 	}
+	defer reply.Release()
 	return replyErr(reply)
 }
 
@@ -659,6 +923,7 @@ func (c *Client) Get(ctx context.Context, attribute string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	defer reply.Release()
 	if err := replyErr(reply); err != nil {
 		return "", err
 	}
@@ -670,16 +935,20 @@ func (c *Client) Get(ctx context.Context, attribute string) (string, error) {
 // package layers callback queueing and ServiceEvents on top.
 func (c *Client) GetAsync(attribute string) (<-chan Result, error) {
 	m := wire.NewMessage("GET").Set("attr", attribute)
-	done := c.instrument(context.Background(), "GET", m)
-	ch, _, err := c.send(m)
+	o := c.instrument(context.Background(), "GET", m)
+	s, err := c.send(m)
 	if err != nil {
-		done()
+		o.End()
 		return nil, err
 	}
 	out := make(chan Result, 1)
 	go func() {
-		reply := <-ch
-		done()
+		// This goroutine belongs to no caller and may wait indefinitely,
+		// so it leaves reading to the background reader.
+		c.ensureReader()
+		reply := <-s.ch
+		c.recycle(s)
+		o.End()
 		if err := replyErr(reply); err != nil {
 			out <- Result{Attr: attribute, Err: err}
 			return
@@ -753,25 +1022,25 @@ func (c *Client) sendPutBatch(batch []pendingPut) {
 		// Old server: fall through to individual pipelined PUTs.
 	}
 	type inflight struct {
-		p    pendingPut
-		ch   chan *wire.Message
-		done func()
+		p pendingPut
+		s *replySlot
+		o opObservation
 	}
 	sent := make([]inflight, 0, len(batch))
 	for _, p := range batch {
 		m := wire.NewMessage("PUT").Set("attr", p.attr).Set("value", p.value)
-		done := c.instrument(context.Background(), "PUT", m)
-		ch, _, err := c.send(m)
+		o := c.instrument(context.Background(), "PUT", m)
+		s, err := c.send(m)
 		if err != nil {
-			done()
+			o.End()
 			p.out <- Result{Attr: p.attr, Value: p.value, Err: err}
 			continue
 		}
-		sent = append(sent, inflight{p: p, ch: ch, done: done})
+		sent = append(sent, inflight{p: p, s: s, o: o})
 	}
 	for _, f := range sent {
-		reply := <-f.ch
-		f.done()
+		reply, _, _ := c.wait(context.Background(), f.s)
+		f.o.End()
 		f.p.out <- Result{Attr: f.p.attr, Value: f.p.value, Err: replyErr(reply)}
 	}
 }
@@ -799,6 +1068,7 @@ func (c *Client) mputV(ctx context.Context, pairs []KV) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer reply.Release()
 	if reply.Verb == "ERROR" && strings.Contains(reply.Get("error"), "unknown verb") {
 		c.noMPUT.Store(true)
 		return 0, errMPUTUnsupported
@@ -835,28 +1105,31 @@ func (c *Client) PutBatchCtx(ctx context.Context, pairs []KV) error {
 	}
 	// Fallback: pipeline individual PUTs, then collect every ack.
 	type inflight struct {
-		ch   chan *wire.Message
-		done func()
+		s *replySlot
+		o opObservation
 	}
 	sent := make([]inflight, 0, len(pairs))
 	var firstErr error
 	for _, p := range pairs {
 		m := wire.NewMessage("PUT").Set("attr", p.Key).Set("value", p.Value)
-		done := c.instrument(ctx, "PUT", m)
-		ch, _, err := c.send(m)
+		o := c.instrument(ctx, "PUT", m)
+		s, err := c.send(m)
 		if err != nil {
-			done()
+			o.End()
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		sent = append(sent, inflight{ch: ch, done: done})
+		sent = append(sent, inflight{s: s, o: o})
 	}
 	for _, f := range sent {
-		reply := <-f.ch
-		f.done()
-		if err := replyErr(reply); err != nil && firstErr == nil {
+		reply, _, err := c.wait(ctx, f.s)
+		f.o.End()
+		if err == nil {
+			err = replyErr(reply)
+		}
+		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -883,6 +1156,7 @@ func (c *Client) TryGetCtx(ctx context.Context, attribute string) (string, error
 	if err != nil {
 		return "", err
 	}
+	defer reply.Release()
 	if reply.Verb == "NOTFOUND" {
 		return "", ErrNotFound
 	}
@@ -904,6 +1178,7 @@ func (c *Client) DeleteCtx(ctx context.Context, attribute string) error {
 	if err != nil {
 		return err
 	}
+	defer reply.Release()
 	return replyErr(reply)
 }
 
@@ -958,7 +1233,7 @@ type Versioned = attr.Versioned
 // a Session diffs the result against its last-known seqs after a
 // reconnect, so stale values never overwrite newer ones.
 func (c *Client) SnapshotSeq(ctx context.Context) (map[string]Versioned, uint64, error) {
-	reply, err := c.call(ctx, "SNAP", wire.NewMessage("SNAP").Set("seqs", "1"))
+	reply, parts, err := c.callParts(ctx, "SNAP", wire.NewMessage("SNAP").Set("seqs", "1"))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -966,7 +1241,7 @@ func (c *Client) SnapshotSeq(ctx context.Context) (map[string]Versioned, uint64,
 		return nil, 0, err
 	}
 	out := make(map[string]Versioned, reply.Int("total", reply.Int("n", 0)))
-	for _, part := range append(c.takeChunks(reply.Get("id")), reply) {
+	for _, part := range append(parts, reply) {
 		if err := parseVersionedInto(out, part); err != nil {
 			return nil, 0, err
 		}
@@ -1014,7 +1289,7 @@ func (c *Client) SnapshotDelta(ctx context.Context, since uint64) (ops []DeltaOp
 	if c.noSNAPD.Load() || !c.HasCap(wire.CapSnapd) {
 		return nil, nil, 0, errSNAPDUnsupported
 	}
-	reply, err := c.call(ctx, "SNAPD",
+	reply, parts, err := c.callParts(ctx, "SNAPD",
 		wire.NewMessage("SNAPD").Set("since", strconv.FormatUint(since, 10)))
 	if err != nil {
 		return nil, nil, 0, err
@@ -1026,7 +1301,7 @@ func (c *Client) SnapshotDelta(ctx context.Context, since uint64) (ops []DeltaOp
 	if err := replyErr(reply); err != nil {
 		return nil, nil, 0, err
 	}
-	parts := append(c.takeChunks(reply.Get("id")), reply)
+	parts = append(parts, reply)
 	ctxSeq, _ = strconv.ParseUint(reply.Get("seq"), 10, 64)
 	if reply.Verb != "DELTA" {
 		// Change log compacted past `since`: the server shipped a full
@@ -1069,6 +1344,7 @@ func (c *Client) Ping(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	defer reply.Release()
 	return replyErr(reply)
 }
 
@@ -1103,6 +1379,7 @@ func (c *Client) PutV(ctx context.Context, attribute, value string) (uint64, err
 	if err != nil {
 		return 0, err
 	}
+	defer reply.Release()
 	if err := replyErr(reply); err != nil {
 		return 0, err
 	}
@@ -1116,6 +1393,7 @@ func (c *Client) GetV(ctx context.Context, attribute string) (string, uint64, er
 	if err != nil {
 		return "", 0, err
 	}
+	defer reply.Release()
 	if err := replyErr(reply); err != nil {
 		return "", 0, err
 	}
@@ -1129,6 +1407,7 @@ func (c *Client) TryGetV(ctx context.Context, attribute string) (string, uint64,
 	if err != nil {
 		return "", 0, err
 	}
+	defer reply.Release()
 	if reply.Verb == "NOTFOUND" {
 		return "", 0, ErrNotFound
 	}
@@ -1145,6 +1424,7 @@ func (c *Client) DeleteV(ctx context.Context, attribute string) (uint64, error) 
 	if err != nil {
 		return 0, err
 	}
+	defer reply.Release()
 	if err := replyErr(reply); err != nil {
 		return 0, err
 	}
@@ -1241,6 +1521,7 @@ func (c *Client) PutGlobal(ctx context.Context, attribute, value string) error {
 	if err != nil {
 		return err
 	}
+	defer reply.Release()
 	return globalErr(reply)
 }
 
@@ -1268,6 +1549,7 @@ func (c *Client) GetGlobal(ctx context.Context, attribute string) (string, error
 	if err != nil {
 		return "", err
 	}
+	defer reply.Release()
 	if err := globalErr(reply); err != nil {
 		return "", err
 	}
@@ -1281,6 +1563,7 @@ func (c *Client) TryGetGlobal(ctx context.Context, attribute string) (string, er
 	if err != nil {
 		return "", err
 	}
+	defer reply.Release()
 	if reply.Verb == "NOTFOUND" {
 		return "", ErrNotFound
 	}

@@ -1,0 +1,5 @@
+//go:build !race
+
+package attrspace
+
+const raceEnabled = false

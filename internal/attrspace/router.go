@@ -70,11 +70,11 @@ type shardOp struct {
 	done chan shardReply
 }
 
-// shardReply carries an op's outcome: the raw reply plus the client it
-// arrived on (chunked replies need its reassembly buffer).
+// shardReply carries an op's outcome: the raw reply plus, for a
+// chunked reply, its interior parts in order.
 type shardReply struct {
 	reply *wire.Message
-	pool  *Client
+	parts []*wire.Message
 	err   error
 }
 
@@ -222,7 +222,7 @@ func (sh *shardConn) dialPool(ctx context.Context) (*Client, error) {
 
 // do queues one C* request for the next drain cycle and waits for its
 // reply. Fails fast when the shard is down or legacy.
-func (sh *shardConn) do(ctx context.Context, m *wire.Message) (*wire.Message, *Client, error) {
+func (sh *shardConn) do(ctx context.Context, m *wire.Message) (*wire.Message, []*wire.Message, error) {
 	if sh.down() {
 		return nil, nil, sh.downErr()
 	}
@@ -252,7 +252,7 @@ func (sh *shardConn) do(ctx context.Context, m *wire.Message) (*wire.Message, *C
 			}
 			return nil, nil, r.err
 		}
-		return r.reply, r.pool, nil
+		return r.reply, r.parts, nil
 	case <-ctx.Done():
 		// The drain loop still completes the op (done is buffered);
 		// this caller just stops waiting.
@@ -293,24 +293,25 @@ func (sh *shardConn) drain(ctx context.Context) {
 		}
 		type sent struct {
 			op *shardOp
-			ch chan *wire.Message
+			s  *replySlot
 		}
 		sends := make([]sent, 0, len(batch))
 		pool.wc.Cork()
 		for _, op := range batch {
-			ch, _, err := pool.send(op.m)
+			s, err := pool.send(op.m)
 			if err != nil {
 				op.done <- shardReply{err: err}
 				continue
 			}
-			sends = append(sends, sent{op: op, ch: ch})
+			sends = append(sends, sent{op: op, s: s})
 		}
 		pool.wc.Uncork()
 		sh.gInflight.Set(int64(len(sends)))
 		for _, s := range sends {
 			// Always answered: a real reply, or the synthetic conn-error
 			// reply fail() injects when the transport dies.
-			s.op.done <- shardReply{reply: <-s.ch, pool: pool}
+			reply, parts, _ := pool.wait(context.Background(), s.s)
+			s.op.done <- shardReply{reply: reply, parts: parts}
 		}
 		sh.gInflight.Set(0)
 		sh.cPooled.Add(int64(len(sends)))
@@ -397,7 +398,7 @@ func (sh *shardConn) delete(ctx context.Context, contextName, attribute string) 
 }
 
 func (sh *shardConn) snapshot(ctx context.Context, contextName string) (map[string]string, error) {
-	reply, pool, err := sh.do(ctx, ctxVerb("CSNAP", contextName))
+	reply, parts, err := sh.do(ctx, ctxVerb("CSNAP", contextName))
 	if err != nil {
 		return nil, err
 	}
@@ -405,7 +406,7 @@ func (sh *shardConn) snapshot(ctx context.Context, contextName string) (map[stri
 		return nil, err
 	}
 	out := make(map[string]string)
-	for _, part := range append(pool.takeChunks(reply.Get("id")), reply) {
+	for _, part := range append(parts, reply) {
 		n, _ := strconv.Atoi(part.Get("n"))
 		for i := 0; i < n; i++ {
 			idx := strconv.Itoa(i)

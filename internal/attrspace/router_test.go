@@ -302,7 +302,10 @@ func TestShardDownFailsFast(t *testing.T) {
 	ctxs := shardedContexts(t, n)
 	bg := context.Background()
 
-	// Prime both shards so the health sessions have connected.
+	// Prime both shards. The puts ride the pooled data connections, so
+	// they do not prove the health sessions have connected; wait for
+	// that too — a shard closed before its health session's first
+	// connect can never read as down.
 	clients := make([]*Client, n)
 	for i, name := range ctxs {
 		clients[i] = dialT(t, lassAddr, name)
@@ -310,12 +313,21 @@ func TestShardDownFailsFast(t *testing.T) {
 			t.Fatalf("PutGlobal(%q): %v", name, err)
 		}
 	}
+	gc := lass.gcache.Load()
+	connDeadline := time.Now().Add(5 * time.Second)
+	for i := 0; i < n; i++ {
+		for !gc.shardAt(i).sess.HasConnected() {
+			if time.Now().After(connDeadline) {
+				t.Fatalf("shard %d health session never connected", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 
 	shards[0].Close()
 	// Wait for the health session (50ms heartbeat) to notice.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		gc := lass.gcache.Load()
 		if gc.shardAt(0).down() {
 			break
 		}

@@ -110,7 +110,7 @@ type verbMetrics struct {
 type telemetryHandles struct {
 	reg    *telemetry.Registry
 	tracer *telemetry.Tracer
-	verbs  map[string]verbMetrics // read-only after construction
+	verbs  map[string]verbMetrics // by wire verb; read-only after construction
 	gConns *telemetry.Gauge
 
 	// Event fan-out accounting (the asynchronous subscriber path).
@@ -296,7 +296,7 @@ func (s *Server) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer)
 		h.reg = reg
 		h.verbs = make(map[string]verbMetrics, len(serverVerbs))
 		for _, v := range serverVerbs {
-			h.verbs[v] = verbMetrics{
+			h.verbs[strings.ToUpper(v)] = verbMetrics{
 				ops: reg.Counter("attrspace.ops." + v),
 				lat: reg.Histogram("attrspace.latency."+v, nil),
 			}
@@ -376,17 +376,16 @@ func (s *Server) Stats() (puts, gets, tryGets, deletes int64) {
 		reg.Counter("attrspace.ops.delete").Value()
 }
 
-// observe bumps a verb's counter; the returned func records its
-// latency when the reply goes out. Lock-free: one atomic load plus a
-// probe of an immutable map.
-func (s *Server) observe(verb string) func() {
+// observe bumps a wire verb's counter and starts the stopwatch that
+// records its latency once the reply is out. Lock-free: one atomic load
+// plus a probe of an immutable map.
+func (s *Server) observe(verb string) telemetry.Stopwatch {
 	vm, ok := s.tel.Load().verbs[verb]
 	if !ok {
-		return func() {}
+		return telemetry.Stopwatch{}
 	}
 	vm.ops.Inc()
-	start := time.Now()
-	return func() { vm.lat.Since(start) }
+	return vm.lat.Start()
 }
 
 // Serve accepts connections on l until Close is called or the listener
@@ -676,12 +675,12 @@ func (c *serverConn) dispatch(ctx context.Context, m *wire.Message) bool {
 	srv := c.srv
 	switch m.Verb {
 	case "HELLO":
-		done := srv.observe("hello")
+		done := srv.observe("HELLO")
 		name := m.Get("context")
 		if owner, refused := srv.shardRefuses(name); refused {
 			c.reply(wire.NewMessage("ERROR").Set("id", m.Get("id")).
 				Set("error", fmt.Sprintf("wrong shard: context %q belongs to shard %d", name, owner)))
-			done()
+			done.End()
 			return false
 		}
 		// Capability negotiation: grant the intersection of what the
@@ -731,7 +730,7 @@ func (c *serverConn) dispatch(ctx context.Context, m *wire.Message) bool {
 		c.mu.Unlock()
 		if already {
 			c.reply(wire.NewMessage("ERROR").Set("id", m.Get("id")).Set("error", "already joined"))
-			done()
+			done.End()
 			return false
 		}
 		ok := wire.NewMessage("OK").Set("id", m.Get("id"))
@@ -742,7 +741,7 @@ func (c *serverConn) dispatch(ctx context.Context, m *wire.Message) bool {
 			ok.Set("shmfile", shmPath)
 		}
 		c.reply(ok)
-		done()
+		done.End()
 	case "SHMRDY":
 		// Transport-v3 cutover request: the client has mapped the
 		// segment announced at HELLO and this frame is the last framed
@@ -779,9 +778,9 @@ func (c *serverConn) dispatch(ctx context.Context, m *wire.Message) bool {
 			c.unknownVerb(m) // a pre-v2 server would not know PING
 			return false
 		}
-		done := srv.observe("ping")
+		done := srv.observe("PING")
 		c.reply(wire.NewMessage("PONG").Set("id", m.Get("id")))
-		done()
+		done.End()
 		return false
 	case "STATS":
 		// STATS needs no context: it reports on the daemon, not on
@@ -833,7 +832,7 @@ func (c *serverConn) startSpan(m *wire.Message) *telemetry.Span {
 
 func (c *serverConn) handleStats(m *wire.Message) {
 	srv := c.srv
-	done := srv.observe("stats")
+	done := srv.observe("STATS")
 	sp := c.startSpan(m)
 	tel := srv.tel.Load()
 	snap := tel.reg.Snapshot()
@@ -843,16 +842,14 @@ func (c *serverConn) handleStats(m *wire.Message) {
 		}
 	}
 	data, err := json.Marshal(snap)
-	if err != nil {
-		c.replyErr(m.Get("id"), err)
-	} else {
-		c.reply(wire.NewMessage("STATSV").
+	reply := errReply(m.Get("id"), err)
+	if err == nil {
+		reply = wire.NewMessage("STATSV").
 			Set("id", m.Get("id")).
 			Set("daemon", tel.tracer.Actor()).
-			Set("json", string(data)))
+			Set("json", string(data))
 	}
-	done()
-	sp.End()
+	c.finish(sp, done, reply)
 }
 
 func (c *serverConn) handleOp(ctx context.Context, m *wire.Message) {
@@ -865,62 +862,34 @@ func (c *serverConn) handleOp(ctx context.Context, m *wire.Message) {
 		return
 	}
 	srv := c.srv
-	done := srv.observe(strings.ToLower(m.Verb))
+	done := srv.observe(m.Verb)
 	sp := c.startSpan(m)
 	if sp != nil && m.Get("attr") != "" {
 		sp.Set("attr", m.Get("attr"))
 	}
-	finish := func() {
-		done()
-		sp.End()
-	}
+	var reply *wire.Message
 	switch m.Verb {
 	case "PUT":
 		seq, err := ref.PutSeq(m.Get("attr"), m.Get("value"))
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		c.reply(wire.NewMessage("OK").Set("id", id).Set("seq", strconv.FormatUint(seq, 10)))
-		finish()
+		reply = ackReply(id, seq, err)
 	case "MPUT":
 		pairs, err := decodeBatch(m)
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
+		var seq uint64
+		if err == nil {
+			seq, err = ref.PutBatchSeq(pairs)
 		}
-		seq, err := ref.PutBatchSeq(pairs)
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		c.reply(wire.NewMessage("OK").Set("id", id).Set("seq", strconv.FormatUint(seq, 10)))
-		finish()
+		reply = ackReply(id, seq, err)
 	case "TRYGET":
 		v, seq, err := ref.TryGetSeq(m.Get("attr"))
-		switch {
-		case errors.Is(err, attr.ErrNotFound):
-			c.reply(wire.NewMessage("NOTFOUND").Set("id", id).Set("attr", m.Get("attr")))
-		case err != nil:
-			c.replyErr(id, err)
-		default:
-			c.reply(wire.NewMessage("VALUE").Set("id", id).Set("attr", m.Get("attr")).
-				Set("value", v).Set("seq", strconv.FormatUint(seq, 10)))
-		}
-		finish()
+		reply = lookupReply(id, m.Get("attr"), v, seq, err)
 	case "GET":
 		attribute := m.Get("attr")
 		// Fast path: when the attribute is already present the GET
 		// cannot block, so answer inline and skip the per-request
 		// goroutine entirely — the common case once a job is running.
 		if v, seq, err := ref.TryGetSeq(attribute); err == nil {
-			c.reply(wire.NewMessage("VALUE").Set("id", id).Set("attr", attribute).
-				Set("value", v).Set("seq", strconv.FormatUint(seq, 10)))
-			finish()
-			return
+			reply = valueReply(id, attribute, v, seq)
+			break
 		}
 		// Blocking get: serve it on its own goroutine so this session
 		// keeps processing other requests (the multiplexing that makes
@@ -929,51 +898,43 @@ func (c *serverConn) handleOp(ctx context.Context, m *wire.Message) {
 		// number a tool writer actually experiences.
 		go func() {
 			v, seq, err := ref.GetSeq(ctx, attribute)
-			if err != nil {
-				c.replyErr(id, err)
-				finish()
-				return
+			reply := errReply(id, err)
+			if err == nil {
+				reply = valueReply(id, attribute, v, seq)
 			}
-			c.reply(wire.NewMessage("VALUE").Set("id", id).Set("attr", attribute).
-				Set("value", v).Set("seq", strconv.FormatUint(seq, 10)))
-			finish()
+			c.finish(sp, done, reply)
 		}()
+		return
 	case "DELETE":
 		seq, err := ref.DeleteSeq(m.Get("attr"))
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		c.reply(wire.NewMessage("OK").Set("id", id).Set("seq", strconv.FormatUint(seq, 10)))
-		finish()
+		reply = ackReply(id, seq, err)
 	case "SNAPD":
 		// Delta resync: ship only the mutations after the client's seq
 		// watermark, falling back to a full versioned snapshot when the
 		// bounded change log no longer covers the gap.
-		since, perr := strconv.ParseUint(m.Get("since"), 10, 64)
-		if perr != nil {
-			c.replyErr(id, fmt.Errorf("snapd: bad since %q", m.Get("since")))
-			finish()
-			return
+		since, err := strconv.ParseUint(m.Get("since"), 10, 64)
+		if err != nil {
+			reply = errReply(id, fmt.Errorf("snapd: bad since %q", m.Get("since")))
+			break
 		}
 		changes, ctxSeq, covered, err := ref.ChangesSince(since)
 		if err != nil {
-			c.replyErr(id, err)
-			finish()
+			reply = errReply(id, err)
+			break
+		}
+		if covered {
+			sp.End()
+			c.sendEntryChunks("DELTA", id, deltaEntries(changes), ctxSeq, done)
 			return
 		}
-		if !covered {
-			snap, ctxSeq, err := ref.SnapshotSeq()
-			if err != nil {
-				c.replyErr(id, err)
-				finish()
-				return
-			}
-			c.sendEntryChunks("SNAPV", id, versionedEntries(snap), ctxSeq, finish)
-			return
+		snap, ctxSeq, err := ref.SnapshotSeq()
+		if err != nil {
+			reply = errReply(id, err)
+			break
 		}
-		c.sendEntryChunks("DELTA", id, deltaEntries(changes), ctxSeq, finish)
+		sp.End()
+		c.sendEntryChunks("SNAPV", id, versionedEntries(snap), ctxSeq, done)
+		return
 	case "SNAP":
 		// seqs=1 asks for the versioned form: each entry carries its
 		// write seq (s<i>) and the reply carries the context seq, which
@@ -982,28 +943,15 @@ func (c *serverConn) handleOp(ctx context.Context, m *wire.Message) {
 		if m.Get("seqs") == "1" {
 			snap, ctxSeq, err := ref.SnapshotSeq()
 			if err != nil {
-				c.replyErr(id, err)
-				finish()
-				return
+				reply = errReply(id, err)
+				break
 			}
-			c.sendEntryChunks("SNAPV", id, versionedEntries(snap), ctxSeq, finish)
+			sp.End()
+			c.sendEntryChunks("SNAPV", id, versionedEntries(snap), ctxSeq, done)
 			return
 		}
 		snap, err := ref.Snapshot()
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		reply := wire.NewMessage("SNAPV").Set("id", id).SetInt("n", len(snap))
-		i := 0
-		for k, v := range snap {
-			reply.Set("k"+strconv.Itoa(i), k)
-			reply.Set("v"+strconv.Itoa(i), v)
-			i++
-		}
-		c.reply(reply)
-		finish()
+		reply = snapReply(id, snap, err)
 	case "SUB":
 		c.mu.Lock()
 		already := c.sub != nil
@@ -1013,20 +961,75 @@ func (c *serverConn) handleOp(ctx context.Context, m *wire.Message) {
 		}
 		sub := c.sub
 		c.mu.Unlock()
-		if already {
-			c.reply(wire.NewMessage("ERROR").Set("id", id).Set("error", "already subscribed"))
-			finish()
-			return
+		switch {
+		case already:
+			reply = errReply(id, errors.New("already subscribed"))
+		case err != nil:
+			reply = errReply(id, err)
+		default:
+			go c.pushEvents(sub)
+			reply = wire.NewMessage("OK").Set("id", id)
 		}
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		go c.pushEvents(sub)
-		c.reply(wire.NewMessage("OK").Set("id", id))
-		finish()
 	}
+	c.finish(sp, done, reply)
+}
+
+// finish completes a request: it ends the request's span, writes and
+// releases the reply, then records the latency. The span ends first so that a
+// client already holding its reply always finds the server's span in
+// the log; the latency includes the reply write.
+func (c *serverConn) finish(sp *telemetry.Span, done telemetry.Stopwatch, reply *wire.Message) {
+	sp.End()
+	c.reply(reply)
+	reply.Release()
+	done.End()
+}
+
+// errReply is the ERROR reply for err, or nil when err is nil.
+func errReply(id string, err error) *wire.Message {
+	if err == nil {
+		return nil
+	}
+	return wire.NewMessage("ERROR").Set("id", id).Set("error", err.Error())
+}
+
+// ackReply acknowledges a mutation with the seq it was assigned.
+func ackReply(id string, seq uint64, err error) *wire.Message {
+	if err != nil {
+		return errReply(id, err)
+	}
+	return wire.NewMessage("OK").Set("id", id).Set("seq", strconv.FormatUint(seq, 10))
+}
+
+func valueReply(id, attribute, v string, seq uint64) *wire.Message {
+	return wire.NewMessage("VALUE").Set("id", id).Set("attr", attribute).
+		Set("value", v).Set("seq", strconv.FormatUint(seq, 10))
+}
+
+// lookupReply answers a non-blocking read: VALUE, NOTFOUND or ERROR.
+func lookupReply(id, attribute, v string, seq uint64, err error) *wire.Message {
+	switch {
+	case errors.Is(err, attr.ErrNotFound):
+		return wire.NewMessage("NOTFOUND").Set("id", id).Set("attr", attribute)
+	case err != nil:
+		return errReply(id, err)
+	}
+	return valueReply(id, attribute, v, seq)
+}
+
+// snapReply is the unversioned single-message snapshot reply.
+func snapReply(id string, snap map[string]string, err error) *wire.Message {
+	if err != nil {
+		return errReply(id, err)
+	}
+	reply := wire.NewMessage("SNAPV").Set("id", id).SetInt("n", len(snap))
+	i := 0
+	for k, v := range snap {
+		reply.Set("k"+strconv.Itoa(i), k)
+		reply.Set("v"+strconv.Itoa(i), v)
+		i++
+	}
+	return reply
 }
 
 // handleCtxOp serves the C* context-explicit verbs: single-context
@@ -1043,97 +1046,65 @@ func (c *serverConn) handleOp(ctx context.Context, m *wire.Message) {
 func (c *serverConn) handleCtxOp(m *wire.Message) {
 	srv := c.srv
 	id := m.Get("id")
-	done := srv.observe(strings.ToLower(m.Verb))
+	done := srv.observe(m.Verb)
 	sp := c.startSpan(m)
-	finish := func() {
-		done()
-		sp.End()
-	}
 	if m.Verb == "CCTXS" {
-		names := srv.space.Contexts()
-		reply := wire.NewMessage("OK").Set("id", id).SetInt("n", len(names))
-		for i, name := range names {
-			reply.Set("k"+strconv.Itoa(i), name)
-		}
-		c.reply(reply)
-		finish()
+		c.finish(sp, done, namesReply(id, srv.space.Contexts()))
 		return
 	}
 	name := m.Get("ctx")
 	if name == "" {
-		c.reply(wire.NewMessage("ERROR").Set("id", id).Set("error", "ctxop: missing ctx"))
-		finish()
+		c.finish(sp, done, errReply(id, errors.New("ctxop: missing ctx")))
 		return
 	}
 	if owner, refused := srv.shardRefuses(name); refused {
-		c.reply(wire.NewMessage("ERROR").Set("id", id).
-			Set("error", fmt.Sprintf("wrong shard: context %q belongs to shard %d", name, owner)))
-		finish()
+		c.finish(sp, done, errReply(id, fmt.Errorf("wrong shard: context %q belongs to shard %d", name, owner)))
 		return
 	}
 	if srv.space.Refs(name) == 0 {
-		c.reply(wire.NewMessage("ERROR").Set("id", id).
-			Set("error", fmt.Sprintf("ctxop: no such context %q", name)))
-		finish()
+		c.finish(sp, done, errReply(id, fmt.Errorf("ctxop: no such context %q", name)))
 		return
 	}
 	ref := srv.space.Join(name)
 	defer ref.Leave()
+	var reply *wire.Message
 	switch m.Verb {
 	case "CPUT":
 		seq, err := ref.PutSeq(m.Get("attr"), m.Get("value"))
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		c.reply(wire.NewMessage("OK").Set("id", id).Set("seq", strconv.FormatUint(seq, 10)))
-		finish()
+		reply = ackReply(id, seq, err)
 	case "CMPUT":
 		pairs, err := decodeBatch(m)
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
+		var seq uint64
+		if err == nil {
+			seq, err = ref.PutBatchSeq(pairs)
 		}
-		seq, err := ref.PutBatchSeq(pairs)
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		c.reply(wire.NewMessage("OK").Set("id", id).Set("seq", strconv.FormatUint(seq, 10)))
-		finish()
+		reply = ackReply(id, seq, err)
 	case "CGET":
 		v, seq, err := ref.TryGetSeq(m.Get("attr"))
-		switch {
-		case errors.Is(err, attr.ErrNotFound):
-			c.reply(wire.NewMessage("NOTFOUND").Set("id", id).Set("attr", m.Get("attr")))
-		case err != nil:
-			c.replyErr(id, err)
-		default:
-			c.reply(wire.NewMessage("VALUE").Set("id", id).Set("attr", m.Get("attr")).
-				Set("value", v).Set("seq", strconv.FormatUint(seq, 10)))
-		}
-		finish()
+		reply = lookupReply(id, m.Get("attr"), v, seq, err)
 	case "CDEL":
 		seq, err := ref.DeleteSeq(m.Get("attr"))
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		c.reply(wire.NewMessage("OK").Set("id", id).Set("seq", strconv.FormatUint(seq, 10)))
-		finish()
+		reply = ackReply(id, seq, err)
 	case "CSNAP":
 		snap, ctxSeq, err := ref.SnapshotSeq()
 		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
+			reply = errReply(id, err)
+			break
 		}
-		c.sendEntryChunks("SNAPV", id, versionedEntries(snap), ctxSeq, finish)
+		sp.End()
+		c.sendEntryChunks("SNAPV", id, versionedEntries(snap), ctxSeq, done)
+		return
 	}
+	c.finish(sp, done, reply)
+}
+
+// namesReply lists context names as k<i> fields of an OK.
+func namesReply(id string, names []string) *wire.Message {
+	reply := wire.NewMessage("OK").Set("id", id).SetInt("n", len(names))
+	for i, name := range names {
+		reply.Set("k"+strconv.Itoa(i), name)
+	}
+	return reply
 }
 
 // decodeBatch extracts the k0/v0..k(n-1)/v(n-1) pairs of an MPUT. The
@@ -1211,20 +1182,20 @@ func appendEntries(m *wire.Message, entries []snapEntry) {
 // granted are split into parts of SnapChunkEntries each and sent from
 // their own goroutine on the bulk stream, so the read loop keeps
 // servicing the connection — PING heartbeats and window updates
-// interleave with the replay instead of queueing behind it. finish is
-// called once the last part (or the single reply) is out.
-func (c *serverConn) sendEntryChunks(verb, id string, entries []snapEntry, ctxSeq uint64, finish func()) {
+// interleave with the replay instead of queueing behind it. done is
+// stopped once the last part (or the single reply) is out.
+func (c *serverConn) sendEntryChunks(verb, id string, entries []snapEntry, ctxSeq uint64, done telemetry.Stopwatch) {
 	seqStr := strconv.FormatUint(ctxSeq, 10)
 	if len(entries) <= SnapChunkEntries || !c.capGranted(wire.CapChunk) {
 		m := wire.NewMessage(verb).Set("id", id).SetInt("n", len(entries)).Set("seq", seqStr)
 		appendEntries(m, entries)
 		c.reply(m)
-		finish()
+		done.End()
 		return
 	}
 	x := c.muxer()
 	go func() {
-		defer finish()
+		defer done.End()
 		total := len(entries)
 		for lo := 0; lo < total; lo += SnapChunkEntries {
 			hi := lo + SnapChunkEntries
@@ -1339,101 +1310,51 @@ func (c *serverConn) handleGlobal(ctx context.Context, m *wire.Message) {
 		return
 	}
 	srv := c.srv
-	done := srv.observe(strings.ToLower(m.Verb))
+	done := srv.observe(m.Verb)
 	sp := c.startSpan(m)
 	if sp != nil && m.Get("attr") != "" {
 		sp.Set("attr", m.Get("attr"))
 	}
-	finish := func() {
-		done()
-		sp.End()
-	}
 	contextName := ref.Context()
+	var reply *wire.Message
 	switch m.Verb {
 	case "GPUT":
 		seq, err := gc.Put(ctx, contextName, m.Get("attr"), m.Get("value"))
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		c.reply(wire.NewMessage("OK").Set("id", id).Set("seq", strconv.FormatUint(seq, 10)))
-		finish()
+		reply = ackReply(id, seq, err)
 	case "GMPUT":
 		pairs, err := decodeBatch(m)
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
+		var seq uint64
+		if err == nil {
+			seq, err = gc.PutBatch(ctx, contextName, pairs)
 		}
-		seq, err := gc.PutBatch(ctx, contextName, pairs)
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		c.reply(wire.NewMessage("OK").Set("id", id).Set("seq", strconv.FormatUint(seq, 10)))
-		finish()
+		reply = ackReply(id, seq, err)
 	case "GTRYGET":
-		attribute := m.Get("attr")
-		v, seq, err := gc.TryGet(ctx, contextName, attribute)
-		switch {
-		case errors.Is(err, attr.ErrNotFound):
-			c.reply(wire.NewMessage("NOTFOUND").Set("id", id).Set("attr", attribute))
-		case err != nil:
-			c.replyErr(id, err)
-		default:
-			c.reply(wire.NewMessage("VALUE").Set("id", id).Set("attr", attribute).
-				Set("value", v).Set("seq", strconv.FormatUint(seq, 10)))
-		}
-		finish()
+		v, seq, err := gc.TryGet(ctx, contextName, m.Get("attr"))
+		reply = lookupReply(id, m.Get("attr"), v, seq, err)
 	case "GGET":
 		attribute := m.Get("attr")
 		// Cache hit: answer inline, no upstream traffic — the steady
 		// state the cache exists for.
 		if v, seq, err := gc.TryGet(ctx, contextName, attribute); err == nil {
-			c.reply(wire.NewMessage("VALUE").Set("id", id).Set("attr", attribute).
-				Set("value", v).Set("seq", strconv.FormatUint(seq, 10)))
-			finish()
-			return
+			reply = valueReply(id, attribute, v, seq)
+			break
 		}
 		// Miss: block on the CASS from a goroutine, like local GET.
 		go func() {
 			v, seq, err := gc.Get(ctx, contextName, attribute)
-			if err != nil {
-				c.replyErr(id, err)
-				finish()
-				return
+			reply := errReply(id, err)
+			if err == nil {
+				reply = valueReply(id, attribute, v, seq)
 			}
-			c.reply(wire.NewMessage("VALUE").Set("id", id).Set("attr", attribute).
-				Set("value", v).Set("seq", strconv.FormatUint(seq, 10)))
-			finish()
+			c.finish(sp, done, reply)
 		}()
+		return
 	case "GDEL":
 		seq, err := gc.Delete(ctx, contextName, m.Get("attr"))
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		c.reply(wire.NewMessage("OK").Set("id", id).Set("seq", strconv.FormatUint(seq, 10)))
-		finish()
+		reply = ackReply(id, seq, err)
 	case "GSNAP":
 		snap, err := gc.Snapshot(ctx, contextName)
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		reply := wire.NewMessage("SNAPV").Set("id", id).SetInt("n", len(snap))
-		i := 0
-		for k, v := range snap {
-			reply.Set("k"+strconv.Itoa(i), k)
-			reply.Set("v"+strconv.Itoa(i), v)
-			i++
-		}
-		c.reply(reply)
-		finish()
+		reply = snapReply(id, snap, err)
 	case "GSNAPM":
 		// Multi-context snapshot: scatter-gather across the CASS shards.
 		// Strict by design — any unreachable context fails the request,
@@ -1441,40 +1362,28 @@ func (c *serverConn) handleGlobal(ctx context.Context, m *wire.Message) {
 		// are empty".
 		n, aerr := strconv.Atoi(m.Get("n"))
 		if aerr != nil || n < 0 || n > len(m.Fields) {
-			c.replyErr(id, fmt.Errorf("gsnapm: bad n %q", m.Get("n")))
-			finish()
-			return
+			reply = errReply(id, fmt.Errorf("gsnapm: bad n %q", m.Get("n")))
+			break
 		}
 		names := make([]string, 0, n)
 		for i := 0; i < n; i++ {
 			names = append(names, m.Get("k"+strconv.Itoa(i)))
 		}
 		snaps, err := gc.SnapshotMany(ctx, names)
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
+		if err == nil {
+			reply, err = encodeSnapshotMany(id, snaps)
 		}
-		reply, err := encodeSnapshotMany(id, snaps)
 		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
+			reply = errReply(id, err)
 		}
-		c.reply(reply)
-		finish()
 	case "GCTXS":
 		// Global context listing: the deduplicated union over every
 		// reachable shard. Best-effort by design — a down shard hides
 		// its contexts but does not hide the survivors'.
 		names, _ := gc.GlobalContexts(ctx)
-		reply := wire.NewMessage("OK").Set("id", id).SetInt("n", len(names))
-		for i, name := range names {
-			reply.Set("k"+strconv.Itoa(i), name)
-		}
-		c.reply(reply)
-		finish()
+		reply = namesReply(id, names)
 	}
+	c.finish(sp, done, reply)
 }
 
 func (c *serverConn) reply(m *wire.Message) {
@@ -1490,10 +1399,6 @@ func (c *serverConn) reply(m *wire.Message) {
 	if err != nil {
 		c.srv.log().Debugf("attrspace: send to %v failed: %v", c.raw.RemoteAddr(), err)
 	}
-}
-
-func (c *serverConn) replyErr(id string, err error) {
-	c.reply(wire.NewMessage("ERROR").Set("id", id).Set("error", err.Error()))
 }
 
 // ListenAndServe starts the server on a network address and returns

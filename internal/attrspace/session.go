@@ -745,7 +745,10 @@ func (s *Session) applyFullResync(snap map[string]Versioned, ctxSeq, preSeq uint
 		s.forwardLocked(Event{Attr: k, Value: v.Value, Op: "put", Seq: v.Seq, Resync: true})
 	}
 	for k, mark := range s.seqs {
-		if mark.dead {
+		if mark.dead || mark.seq > ctxSeq {
+			// Already deleted, or written after the snapshot was taken
+			// (a live event overtook the resync): the snapshot cannot
+			// speak for it.
 			continue
 		}
 		if _, ok := snap[k]; ok {

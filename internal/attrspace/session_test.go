@@ -306,10 +306,10 @@ func TestClientFailDrainsPendings(t *testing.T) {
 		t.Fatal("Put never returned after connection loss (leaked pending)")
 	}
 	c.mu.Lock()
-	n := len(c.pending)
+	n := len(c.slots)
 	c.mu.Unlock()
 	if n != 0 {
-		t.Errorf("pending map holds %d entries after fail, want 0", n)
+		t.Errorf("reply table holds %d entries after fail, want 0", n)
 	}
 	srv.wait()
 }

@@ -9,7 +9,6 @@ import (
 
 	"tdp/internal/proxy"
 	"tdp/internal/telemetry"
-	"tdp/internal/wire"
 )
 
 // TestStatsRoundTrip exercises the STATS verb over a real TCP
@@ -144,13 +143,7 @@ func TestStatsNeedsNoHello(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer raw.Close()
-	c := &Client{
-		wc:      wire.NewConn(raw),
-		raw:     raw,
-		pending: make(map[string]chan *wire.Message),
-		events:  make(chan Event, 4),
-	}
-	go c.readLoop()
+	c := newClient(raw)
 	defer c.Close()
 	if _, _, err := c.ServerStats(context.Background()); err != nil {
 		t.Fatalf("STATS without HELLO: %v", err)

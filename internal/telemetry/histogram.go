@@ -67,6 +67,31 @@ func (h *Histogram) Since(start time.Time) {
 	h.ObserveDuration(time.Since(start))
 }
 
+// Stopwatch times one operation into a histogram. It is a plain value,
+// so starting and stopping one allocates nothing; the zero Stopwatch
+// (a nil histogram's) records nothing.
+type Stopwatch struct {
+	h     *Histogram
+	start time.Time
+}
+
+// Start begins timing an operation; call End on the result when it
+// completes. A nil histogram returns the inert zero Stopwatch without
+// reading the clock.
+func (h *Histogram) Start() Stopwatch {
+	if h == nil {
+		return Stopwatch{}
+	}
+	return Stopwatch{h: h, start: time.Now()}
+}
+
+// End records the time since Start.
+func (s Stopwatch) End() {
+	if s.h != nil {
+		s.h.Since(s.start)
+	}
+}
+
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 

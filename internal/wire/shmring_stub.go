@@ -48,6 +48,9 @@ type ShmEndpoint struct{}
 // Activate is a no-op on this platform.
 func (e *ShmEndpoint) Activate() {}
 
+// Dead returns nil on this platform: no endpoint ever dies.
+func (e *ShmEndpoint) Dead() <-chan struct{} { return nil }
+
 // Close is a no-op on this platform.
 func (e *ShmEndpoint) Close() error { return nil }
 

@@ -143,9 +143,33 @@ type Message struct {
 	Fields map[string]string
 }
 
+// msgPool recycles messages handed back by Release, so a request path
+// that releases what it is done with builds its messages without
+// allocating.
+var msgPool = sync.Pool{New: func() any { return &Message{Fields: make(map[string]string)} }}
+
+// releaseMaxFields bounds the messages Release keeps: a snapshot-sized
+// message's map would otherwise stay pinned in the pool.
+const releaseMaxFields = 16
+
 // NewMessage returns a Message with the given verb and an empty field set.
 func NewMessage(verb string) *Message {
-	return &Message{Verb: verb, Fields: make(map[string]string)}
+	m := msgPool.Get().(*Message)
+	m.Verb = verb
+	return m
+}
+
+// Release hands m back for reuse by NewMessage. Call it only once
+// nothing references m any more — after the message has been sent, or
+// once its reply's fields have been read. Strings read from m stay
+// valid. A nil m is ignored.
+func (m *Message) Release() {
+	if m == nil || len(m.Fields) > releaseMaxFields {
+		return
+	}
+	clear(m.Fields)
+	m.Verb = ""
+	msgPool.Put(m)
 }
 
 // Set stores a field and returns the message for chaining.

@@ -78,7 +78,7 @@ func (h *Handle) CreateProcess(spec ProcessSpec, mode StartMode) (*Process, erro
 	if err != nil {
 		return nil, err
 	}
-	defer h.observe("create_process")()
+	defer h.observe("create_process").End()
 	h.traceStep("tdp_create_process", spec.Executable+","+mode.String())
 	p, err := k.Spawn(procsim.Spec{
 		Executable:  spec.Executable,
@@ -106,7 +106,7 @@ func (h *Handle) Attach(pid procsim.PID) (*Process, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer h.observe("attach")()
+	defer h.observe("attach").End()
 	h.traceStep("tdp_attach", "pid="+strconv.Itoa(int(pid)))
 	p, err := k.Process(pid)
 	if err != nil {
@@ -158,7 +158,7 @@ func (p *Process) controller() string {
 // initializing an application it created or attached to, Continue is
 // how execution (re)starts — tdp_continue_process.
 func (p *Process) Continue() error {
-	defer p.h.observe("continue_process")()
+	defer p.h.observe("continue_process").End()
 	p.h.traceStep("tdp_continue_process", "pid="+strconv.Itoa(int(p.p.PID())))
 	return p.p.Continue(p.controller())
 }

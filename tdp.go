@@ -281,6 +281,14 @@ func (h *Handle) traceStep(action, detail string) {
 	}
 }
 
+// traceKV records an "attribute=value" step, building the detail
+// string only when a trace is installed.
+func (h *Handle) traceKV(action, attribute, value string) {
+	if h.cfg.Trace != nil {
+		h.cfg.Trace.Record(h.cfg.Identity, action, attribute+"="+value)
+	}
+}
+
 // kernel returns the configured process substrate or ErrNoKernel.
 func (h *Handle) kernel() (*procsim.Kernel, error) {
 	if h.cfg.Kernel == nil {

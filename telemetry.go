@@ -26,17 +26,15 @@ func (h *Handle) Telemetry() *telemetry.Registry { return h.cfg.Telemetry }
 // none).
 func (h *Handle) Tracer() *telemetry.Tracer { return h.cfg.Tracer }
 
-// observe counts one tdp-level operation and returns the closure that
-// records its latency; a no-op without a registry.
-func (h *Handle) observe(op string) func() {
+// observe counts one tdp-level operation and starts the stopwatch
+// that records its latency; inert without a registry.
+func (h *Handle) observe(op string) telemetry.Stopwatch {
 	reg := h.cfg.Telemetry
 	if reg == nil {
-		return func() {}
+		return telemetry.Stopwatch{}
 	}
 	reg.Counter("tdp.ops." + op).Inc()
-	lat := reg.Histogram("tdp.latency."+op, nil)
-	start := time.Now()
-	return func() { lat.Since(start) }
+	return reg.Histogram("tdp.latency."+op, nil).Start()
 }
 
 // noteEventDepth tracks the completion-callback backlog — the distance
