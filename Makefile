@@ -20,6 +20,10 @@
 # dir) and on this checkout, alternating which goes first, and prints
 # per-metric medians, quartiles and win counts.
 #
+# `make loc` prints the non-test Go line count (scripts/loc.sh: every
+# Go file git knows about except *_test.go and perfbench/), the size
+# metric simplicity changes report before and after.
+#
 # `make scenario-smoke` runs the pre-built pool scenarios at smoke
 # scale under the race detector (part of tier1). `make scenario` is
 # the full tier — 10k+ host planes, shard loss under load, churn and
@@ -60,7 +64,7 @@ W ?= local-rpc
 N ?= 10
 BASE ?= HEAD
 
-.PHONY: all tier1 vet build test race chaos fuzz bench benchdiff bench-samehost scenario scenario-smoke scenariodiff perf-ab
+.PHONY: all tier1 vet build test race chaos fuzz bench benchdiff bench-samehost scenario scenario-smoke scenariodiff perf-ab loc
 
 all: tier1
 
@@ -121,3 +125,6 @@ bench-samehost:
 
 perf-ab:
 	scripts/perfab.sh $(W) $(N) $(BASE)
+
+loc:
+	@scripts/loc.sh

@@ -35,8 +35,7 @@ func (h *Handle) PutCtx(ctx context.Context, attribute, value string) error {
 // PutBatch stores every pair in the local space in order and blocks
 // until all are visible — one MPUT round trip instead of N PUTs, the
 // natural shape for the paper's startup pattern (an RM publishing pid,
-// executable name, args and frontend address together). Servers that
-// predate MPUT degrade transparently to pipelined PUTs.
+// executable name, args and frontend address together).
 func (h *Handle) PutBatch(pairs []KV) error {
 	return h.PutBatchCtx(context.Background(), pairs)
 }

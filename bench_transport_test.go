@@ -1,10 +1,10 @@
 package tdp_test
 
-// Transport v2/v3 benchmarks (EXPERIMENTS.md): the same-host transport
+// Transport benchmarks (EXPERIMENTS.md): the same-host transport
 // ladder (loopback TCP, unix socket, shared-memory ring), delta resync
 // (SNAPD) bytes against a full snapshot for a small gap in a large
-// context, and event latency under a concurrent bulk snapshot with and
-// without stream multiplexing. The first two back PR acceptance
+// context, and event latency under a concurrent bulk snapshot on one
+// multiplexed connection. The first two back PR acceptance
 // criteria: shm beats unix beats TCP on the put round trip, and resync
 // bytes are proportional to the gap, not the context.
 
@@ -21,14 +21,12 @@ import (
 )
 
 func BenchmarkSameHostPut(b *testing.B) {
-	// grantShm toggles the server capability; wantShm asserts what the
+	// grantShm toggles the server's shm grant; wantShm asserts what the
 	// dialed client actually negotiated, so the sub-benchmark names stay
 	// honest (the unix row must not silently ride the ring).
 	run := func(b *testing.B, dial attrspace.DialFunc, grantShm, wantShm bool) {
 		srv := attrspace.NewServer()
-		if !grantShm {
-			srv.SetCaps(attrspace.CapsWithoutShm(srv.Caps())...)
-		}
+		srv.SetShm(grantShm)
 		addr, err := srv.ListenAndServe("127.0.0.1:0")
 		if err != nil {
 			b.Fatalf("serve: %v", err)
@@ -55,9 +53,9 @@ func BenchmarkSameHostPut(b *testing.B) {
 	}
 	b.Run("tcp", func(b *testing.B) { run(b, attrspace.TCPDial, false, false) })
 	// nil dial = AutoDial, which prefers the side socket for loopback;
-	// the server withholds the shm cap so this measures the bare socket.
+	// the server withholds shm so this measures the bare socket.
 	b.Run("unix", func(b *testing.B) { run(b, nil, false, false) })
-	// Full capability set: the unix bootstrap cuts over to the mmap ring
+	// shm granted: the unix bootstrap cuts over to the mmap ring
 	// pair. On platforms without shm support this degenerates to unix.
 	b.Run("shm", func(b *testing.B) { run(b, nil, true, wire.ShmSupported()) })
 }
@@ -144,16 +142,13 @@ func BenchmarkSessionResync(b *testing.B) {
 
 func BenchmarkMuxFanout(b *testing.B) {
 	// Event latency while a bulk snapshot streams on the same
-	// connection. Without the mux the whole snapshot is one inline
-	// frame and a concurrent event waits behind it; with mux + chunking
-	// the event interleaves between bulk-stream parts. The event-wait
-	// metric is the one to compare across the two sub-benchmarks.
+	// connection: the snapshot leaves in chunks on the bulk stream, so a
+	// concurrent event interleaves between parts instead of waiting
+	// behind one inline frame. The event-wait metric is the one to
+	// track.
 	const size = 5000
-	run := func(b *testing.B, v1 bool) {
+	b.Run("mux", func(b *testing.B) {
 		srv := attrspace.NewServer()
-		if v1 {
-			srv.SetCaps()
-		}
 		addr, err := srv.ListenAndServe("127.0.0.1:0")
 		if err != nil {
 			b.Fatalf("serve: %v", err)
@@ -206,7 +201,5 @@ func BenchmarkMuxFanout(b *testing.B) {
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(eventWait)/float64(b.N), "event-ns/op")
-	}
-	b.Run("v1", func(b *testing.B) { run(b, true) })
-	b.Run("mux", func(b *testing.B) { run(b, false) })
+	})
 }

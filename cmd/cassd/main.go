@@ -44,9 +44,7 @@ func main() {
 	flag.Parse()
 
 	srv := attrspace.NewServer()
-	if !*shm {
-		srv.SetCaps(attrspace.CapsWithoutShm(srv.Caps())...)
-	}
+	srv.SetShm(*shm)
 	srv.SetLogger(telemetry.NewLogger(os.Stderr, telemetry.ParseLevel(*logLevel), "cassd"))
 	srv.SetTelemetry(telemetry.NewRegistry(), telemetry.NewTracer("cassd"))
 	srv.SetEventBuffer(*eventBuf)

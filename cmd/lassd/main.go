@@ -58,9 +58,7 @@ func main() {
 	flag.Parse()
 
 	srv := attrspace.NewServer()
-	if !*shm {
-		srv.SetCaps(attrspace.CapsWithoutShm(srv.Caps())...)
-	}
+	srv.SetShm(*shm)
 	srv.SetLogger(telemetry.NewLogger(os.Stderr, telemetry.ParseLevel(*logLevel), "lassd"))
 	srv.SetTelemetry(telemetry.NewRegistry(), telemetry.NewTracer("lassd"))
 	srv.SetEventBuffer(*eventBuf)

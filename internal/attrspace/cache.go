@@ -428,12 +428,7 @@ func (gc *GlobalCache) Put(ctx context.Context, contextName, attribute, value st
 	if err != nil {
 		return 0, err
 	}
-	sh := gc.shard(contextName)
-	seq, err := sh.put(ctx, contextName, attribute, value)
-	if errors.Is(err, errNoCtxOp) {
-		sh.cFallback.Inc()
-		seq, err = cc.up.PutV(ctx, attribute, value)
-	}
+	seq, err := gc.shard(contextName).put(ctx, contextName, attribute, value)
 	if err != nil {
 		return 0, err
 	}
@@ -449,12 +444,7 @@ func (gc *GlobalCache) PutBatch(ctx context.Context, contextName string, pairs [
 	if err != nil {
 		return 0, err
 	}
-	sh := gc.shard(contextName)
-	last, err := sh.putBatch(ctx, contextName, pairs)
-	if errors.Is(err, errNoCtxOp) {
-		sh.cFallback.Inc()
-		last, err = cc.up.PutBatchV(ctx, pairs)
-	}
+	last, err := gc.shard(contextName).putBatch(ctx, contextName, pairs)
 	if err != nil {
 		return 0, err
 	}
@@ -489,10 +479,6 @@ func (gc *GlobalCache) TryGet(ctx context.Context, contextName, attribute string
 	}
 	tel.cacheMiss.Inc()
 	v, seq, err := sh.tryGet(ctx, contextName, attribute)
-	if errors.Is(err, errNoCtxOp) {
-		sh.cFallback.Inc()
-		v, seq, err = cc.up.TryGetV(ctx, attribute)
-	}
 	if err != nil {
 		return "", 0, err
 	}
@@ -540,12 +526,7 @@ func (gc *GlobalCache) Delete(ctx context.Context, contextName, attribute string
 	if err != nil {
 		return 0, err
 	}
-	sh := gc.shard(contextName)
-	seq, err := sh.delete(ctx, contextName, attribute)
-	if errors.Is(err, errNoCtxOp) {
-		sh.cFallback.Inc()
-		seq, err = cc.up.DeleteV(ctx, attribute)
-	}
+	seq, err := gc.shard(contextName).delete(ctx, contextName, attribute)
 	if err != nil {
 		return 0, err
 	}

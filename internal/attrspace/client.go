@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"tdp/internal/attr"
 	"tdp/internal/telemetry"
@@ -43,12 +42,6 @@ type DialFunc func(addr string) (net.Conn, error)
 // is AutoDial, which prefers the same-host unix socket for loopback
 // endpoints; pass TCPDial explicitly to force TCP.
 func TCPDial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-
-// clientCaps are the transport capabilities this client offers in
-// HELLO; the server grants the intersection with its own. CapShm is
-// offered separately, only when the dialed connection is provably
-// same-host (see dialWithCaps).
-var clientCaps = []string{wire.CapMux, wire.CapSnapd, wire.CapChunk, wire.CapPing, wire.CapByteWin}
 
 // Event is a pushed attribute change received after Subscribe.
 type Event struct {
@@ -89,6 +82,7 @@ type KV = attr.KV
 type Client struct {
 	wc  *wire.Conn
 	raw net.Conn
+	mux *wire.Mux // stream mux; every request and reply passes through it
 
 	mu       sync.Mutex
 	nextID   uint64
@@ -112,25 +106,14 @@ type Client struct {
 	onClose func(error)
 	subbed  bool
 
-	// Transport v2 state, fixed once HELLO's OK lands: the granted
-	// capability set and the stream mux (nil on a v1 connection).
-	caps map[string]bool
-	mux  *wire.Mux
-
 	// shmActive is set once the transport-v3 cutover completed; from
 	// then on callers may borrow the read token.
 	shmActive bool
 
 	// Async-put coalescing state: queued puts accumulate in putq while
-	// a flush is in flight and leave as one MPUT. noMPUT flips on when
-	// the server answers MPUT with an unknown-verb error (an older
-	// peer); from then on batches fall back to pipelined PUTs. noSNAPD
-	// is the same latch for the delta-snapshot verb — belt and braces
-	// on top of capability negotiation.
+	// a flush is in flight and leave as one MPUT.
 	putq     []pendingPut
 	flushing bool
-	noMPUT   atomic.Bool
-	noSNAPD  atomic.Bool
 
 	// Optional telemetry, installed by SetTelemetry. reg counts
 	// per-verb ops and latencies under "client.*"; tracer starts a
@@ -163,9 +146,11 @@ type replySlot struct {
 // newClient wraps an open connection and starts its background reader,
 // which owns the read side until a shm cutover lets callers borrow it.
 func newClient(raw net.Conn) *Client {
+	wc := wire.NewConn(raw)
 	c := &Client{
-		wc:     wire.NewConn(raw),
+		wc:     wc,
 		raw:    raw,
+		mux:    wire.NewMux(wc, wire.MuxConfig{}),
 		slots:  make(map[uint64]*replySlot),
 		events: make(chan Event, 64),
 		wake:   make(chan struct{}, 1),
@@ -188,26 +173,12 @@ func Dial(dial DialFunc, addr, contextName string) (*Client, error) {
 // fault supervisor's service pings and the Session reconnect loop
 // depend on this bound.
 func DialCtx(ctx context.Context, dial DialFunc, addr, contextName string) (*Client, error) {
-	return dialWithCaps(ctx, dial, addr, contextName, clientCaps)
-}
-
-// dialWithCaps is DialCtx with an explicit capability offer. The shard
-// router uses it to offer CapCtxOp on its pooled connections without
-// changing what ordinary clients advertise.
-func dialWithCaps(ctx context.Context, dial DialFunc, addr, contextName string, caps []string) (*Client, error) {
 	if dial == nil {
 		dial = AutoDial
 	}
 	raw, err := dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("attrspace: dial %s: %w", addr, err)
-	}
-	// The shm transport is only meaningful (and only safe — both ends
-	// must reach the same segment file) across a provably same-host
-	// connection, so the capability is offered per connection rather
-	// than unconditionally.
-	if wire.ShmSupported() && sameHostConn(raw) {
-		caps = append(append([]string(nil), caps...), wire.CapShm)
 	}
 	c := newClient(raw)
 	// Watchdog: a cancelled handshake closes the transport, which fails
@@ -233,7 +204,7 @@ func dialWithCaps(ctx context.Context, dial DialFunc, addr, contextName string, 
 			return <-fired
 		}
 	}
-	err = c.handshake(ctx, contextName, caps)
+	err = c.handshake(ctx, contextName)
 	if stopWatchdog() && err == nil {
 		err = fmt.Errorf("attrspace: hello: %w", ctx.Err())
 	}
@@ -244,11 +215,16 @@ func dialWithCaps(ctx context.Context, dial DialFunc, addr, contextName string, 
 	return c, nil
 }
 
-// handshake joins contextName with HELLO, fixes the granted transport
-// capabilities and, when shm was granted, cuts over to the ring.
-func (c *Client) handshake(ctx context.Context, contextName string, caps []string) error {
-	hello := wire.NewMessage("HELLO").Set("context", contextName).
-		Set("caps", strings.Join(caps, ","))
+// handshake joins contextName with HELLO and, when the server granted
+// the shm ring, cuts over to it. The ring is only meaningful (and only
+// safe — both ends must reach the same segment file) across a provably
+// same-host connection, so it is offered per connection rather than
+// unconditionally.
+func (c *Client) handshake(ctx context.Context, contextName string) error {
+	hello := wire.NewMessage("HELLO").Set("context", contextName)
+	if wire.ShmSupported() && sameHostConn(c.raw) {
+		hello.Set("caps", wire.CapShm)
+	}
 	reply, err := c.call(ctx, "HELLO", hello)
 	if err != nil {
 		return fmt.Errorf("attrspace: hello: %w", err)
@@ -256,23 +232,11 @@ func (c *Client) handshake(ctx context.Context, contextName string, caps []strin
 	if reply.Verb != "OK" {
 		return fmt.Errorf("attrspace: hello rejected: %s", reply.Get("error"))
 	}
-	// A v1 server ignored the caps field and granted nothing; a v2
-	// server replies with the intersection. Either way both ends now
-	// agree, and the mux engages only when both speak it.
-	if granted := reply.Get("caps"); granted != "" {
-		set := wire.ParseCaps(granted)
-		c.mu.Lock()
-		c.caps = set
-		if set[wire.CapMux] {
-			c.mux = wire.NewMux(c.wc, wire.MuxConfig{Registry: c.reg, ByteWindow: set[wire.CapByteWin]})
-		}
-		c.mu.Unlock()
-		if set[wire.CapShm] {
-			// Best effort: a failed cutover leaves the connection on the
-			// socket exactly as a v2 peer — the server cleans the segment
-			// file at connection teardown.
-			c.upgradeShm(reply.Get("shmfile"))
-		}
+	if wire.ParseCaps(reply.Get("caps"))[wire.CapShm] {
+		// Best effort: a failed cutover leaves the connection on the
+		// socket — the server cleans the segment file at connection
+		// teardown.
+		c.upgradeShm(reply.Get("shmfile"))
 	}
 	return nil
 }
@@ -298,7 +262,7 @@ func (c *Client) upgradeShm(path string) {
 	if err != nil {
 		return
 	}
-	// Safe to block: dialWithCaps still owns the client — no Session
+	// Safe to block: DialCtx still owns the client — no Session
 	// heartbeats, subscriptions, or user requests exist yet, so nothing
 	// else can write to the socket behind SHMRDY, and the only traffic
 	// the read loop can see before this reply is the reply itself (a
@@ -324,21 +288,6 @@ func (c *Client) ShmActive() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.shmActive
-}
-
-// muxer returns the connection's stream mux, nil on a v1 connection.
-func (c *Client) muxer() *wire.Mux {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mux
-}
-
-// HasCap reports whether the server granted the named transport-v2
-// capability (wire.CapMux etc.) during the HELLO handshake.
-func (c *Client) HasCap(name string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.caps[name]
 }
 
 // readLoop is the background reader. It starts out holding the read
@@ -500,11 +449,9 @@ func (c *Client) awaitTurn() bool {
 // background reader may deliver — event handlers must never run on a
 // caller's goroutine.
 func (c *Client) route(m *wire.Message, caller bool) (*replySlot, bool) {
-	if x := c.muxer(); x != nil {
-		if _, handled := x.Accept(m); handled {
-			m.Release()
-			return nil, false // pure transport (WINUP), nothing to dispatch
-		}
+	if _, handled := c.mux.Accept(m); handled {
+		m.Release()
+		return nil, false // pure transport (WINUP), nothing to dispatch
 	}
 	switch m.Verb {
 	case "EVENT":
@@ -540,7 +487,7 @@ func (c *Client) route(m *wire.Message, caller bool) (*replySlot, bool) {
 	c.mu.Lock()
 	s := c.slots[id]
 	if s != nil && m.Get("more") == "1" {
-		// Interior part of a chunked bulk reply (CapChunk): keep it with
+		// Interior part of a chunked bulk reply: keep it with
 		// the request; the final part (no `more`) completes the slot.
 		// Parts for an abandoned request find no slot and are dropped.
 		s.parts = append(s.parts, m)
@@ -633,13 +580,10 @@ func (c *Client) fail(err error) {
 	c.err = err
 	pending := c.slots
 	c.slots = make(map[uint64]*replySlot)
-	mux := c.mux
 	onClose := c.onClose
 	c.mu.Unlock()
 	c.wakeReader() // a parked background reader exits
-	if mux != nil {
-		mux.Fail(err)
-	}
+	c.mux.Fail(err)
 	for id, s := range pending {
 		s.ch <- wire.NewMessage("ERROR").Set("id", strconv.FormatUint(id, 10)).
 			Set("error", err.Error()).Set("conn", "1")
@@ -849,19 +793,12 @@ func (c *Client) register(m *wire.Message, swap *wire.ShmEndpoint) (*replySlot, 
 	s.id = c.nextID
 	s.swap = swap
 	c.slots[s.id] = s
-	x := c.mux
 	c.mu.Unlock()
 	m.Set("id", strconv.FormatUint(s.id, 10))
 	// Requests ride the control stream (never window-limited); routing
 	// them through the mux lets accumulated receive-side credit grants
 	// piggyback instead of costing explicit WINUP frames.
-	var err error
-	if x != nil {
-		err = x.SendOn(wire.StreamControl, m)
-	} else {
-		err = c.wc.Send(m)
-	}
-	if err != nil {
+	if err := c.mux.SendOn(wire.StreamControl, m); err != nil {
 		c.fail(err)
 		return nil, fmt.Errorf("%w: %v", ErrConnLost, err)
 	}
@@ -1002,63 +939,22 @@ func (c *Client) flushPuts() {
 	}
 }
 
-// sendPutBatch transmits a batch of queued puts. A single put (or a
-// server without MPUT) uses ordinary pipelined PUTs; otherwise the
-// batch is one MPUT round trip. Every pending channel receives its
-// completion.
+// sendPutBatch transmits a batch of queued puts in one round trip (see
+// PutBatchV). Every pending channel receives its completion.
 func (c *Client) sendPutBatch(batch []pendingPut) {
-	if len(batch) > 1 && !c.noMPUT.Load() {
-		pairs := make([]KV, len(batch))
-		for i, p := range batch {
-			pairs[i] = KV{Key: p.attr, Value: p.value}
-		}
-		err := c.mput(context.Background(), pairs)
-		if !errors.Is(err, errMPUTUnsupported) {
-			for _, p := range batch {
-				p.out <- Result{Attr: p.attr, Value: p.value, Err: err}
-			}
-			return
-		}
-		// Old server: fall through to individual pipelined PUTs.
+	pairs := make([]KV, len(batch))
+	for i, p := range batch {
+		pairs[i] = KV{Key: p.attr, Value: p.value}
 	}
-	type inflight struct {
-		p pendingPut
-		s *replySlot
-		o opObservation
-	}
-	sent := make([]inflight, 0, len(batch))
+	_, err := c.PutBatchV(context.Background(), pairs)
 	for _, p := range batch {
-		m := wire.NewMessage("PUT").Set("attr", p.attr).Set("value", p.value)
-		o := c.instrument(context.Background(), "PUT", m)
-		s, err := c.send(m)
-		if err != nil {
-			o.End()
-			p.out <- Result{Attr: p.attr, Value: p.value, Err: err}
-			continue
-		}
-		sent = append(sent, inflight{p: p, s: s, o: o})
-	}
-	for _, f := range sent {
-		reply, _, _ := c.wait(context.Background(), f.s)
-		f.o.End()
-		f.p.out <- Result{Attr: f.p.attr, Value: f.p.value, Err: replyErr(reply)}
+		p.out <- Result{Attr: p.attr, Value: p.value, Err: err}
 	}
 }
 
-// errMPUTUnsupported marks an MPUT rejected by a pre-MPUT server.
-var errMPUTUnsupported = errors.New("attrspace: server does not support MPUT")
-
-// mput performs one MPUT round trip for pairs. It returns
-// errMPUTUnsupported (and latches noMPUT) when the server rejects the
-// verb, so callers can fall back to individual PUTs.
-func (c *Client) mput(ctx context.Context, pairs []KV) error {
-	_, err := c.mputV(ctx, pairs)
-	return err
-}
-
-// mputV is mput returning the seq acked for the batch's last pair
-// (0 against a server that predates seq-carrying acks).
-func (c *Client) mputV(ctx context.Context, pairs []KV) (uint64, error) {
+// mput performs one MPUT round trip for pairs and returns the seq acked
+// for the batch's last pair.
+func (c *Client) mput(ctx context.Context, pairs []KV) (uint64, error) {
 	m := wire.NewMessage("MPUT").SetInt("n", len(pairs))
 	for i, p := range pairs {
 		idx := strconv.Itoa(i)
@@ -1069,10 +965,6 @@ func (c *Client) mputV(ctx context.Context, pairs []KV) (uint64, error) {
 		return 0, err
 	}
 	defer reply.Release()
-	if reply.Verb == "ERROR" && strings.Contains(reply.Get("error"), "unknown verb") {
-		c.noMPUT.Store(true)
-		return 0, errMPUTUnsupported
-	}
 	if err := replyErr(reply); err != nil {
 		return 0, err
 	}
@@ -1082,8 +974,7 @@ func (c *Client) mputV(ctx context.Context, pairs []KV) (uint64, error) {
 // PutBatch stores every pair in order and waits for the single
 // acknowledgement — one round trip for the whole batch (the Parador
 // startup pattern: a daemon publishing pid, executable, args and
-// friends together). Against a server that predates MPUT it degrades
-// to pipelined individual PUTs and reports the first error.
+// friends together).
 func (c *Client) PutBatch(pairs []KV) error {
 	return c.PutBatchCtx(context.Background(), pairs)
 }
@@ -1091,49 +982,8 @@ func (c *Client) PutBatch(pairs []KV) error {
 // PutBatchCtx is PutBatch with a context for cancellation and span
 // propagation.
 func (c *Client) PutBatchCtx(ctx context.Context, pairs []KV) error {
-	switch len(pairs) {
-	case 0:
-		return nil
-	case 1:
-		return c.PutCtx(ctx, pairs[0].Key, pairs[0].Value)
-	}
-	if !c.noMPUT.Load() {
-		err := c.mput(ctx, pairs)
-		if !errors.Is(err, errMPUTUnsupported) {
-			return err
-		}
-	}
-	// Fallback: pipeline individual PUTs, then collect every ack.
-	type inflight struct {
-		s *replySlot
-		o opObservation
-	}
-	sent := make([]inflight, 0, len(pairs))
-	var firstErr error
-	for _, p := range pairs {
-		m := wire.NewMessage("PUT").Set("attr", p.Key).Set("value", p.Value)
-		o := c.instrument(ctx, "PUT", m)
-		s, err := c.send(m)
-		if err != nil {
-			o.End()
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		sent = append(sent, inflight{s: s, o: o})
-	}
-	for _, f := range sent {
-		reply, _, err := c.wait(ctx, f.s)
-		f.o.End()
-		if err == nil {
-			err = replyErr(reply)
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	_, err := c.PutBatchV(ctx, pairs)
+	return err
 }
 
 // Result is the completion of an asynchronous get or put.
@@ -1228,10 +1078,9 @@ func (c *Client) Snapshot() (map[string]string, error) {
 type Versioned = attr.Versioned
 
 // SnapshotSeq returns every attribute with the seq of the write that
-// produced it, plus the context's current sequence number (0 against a
-// server that predates versioned snapshots). It is the resync primitive:
-// a Session diffs the result against its last-known seqs after a
-// reconnect, so stale values never overwrite newer ones.
+// produced it, plus the context's current sequence number. It is the
+// resync primitive: a Session diffs the result against its last-known
+// seqs after a reconnect, so stale values never overwrite newer ones.
 func (c *Client) SnapshotSeq(ctx context.Context) (map[string]Versioned, uint64, error) {
 	reply, parts, err := c.callParts(ctx, "SNAP", wire.NewMessage("SNAP").Set("seqs", "1"))
 	if err != nil {
@@ -1240,7 +1089,7 @@ func (c *Client) SnapshotSeq(ctx context.Context) (map[string]Versioned, uint64,
 	if err := replyErr(reply); err != nil {
 		return nil, 0, err
 	}
-	out := make(map[string]Versioned, reply.Int("total", reply.Int("n", 0)))
+	out := make(map[string]Versioned, sizeHint(reply, parts))
 	for _, part := range append(parts, reply) {
 		if err := parseVersionedInto(out, part); err != nil {
 			return nil, 0, err
@@ -1273,8 +1122,17 @@ type DeltaOp struct {
 	Delete bool
 }
 
-// errSNAPDUnsupported marks a SNAPD rejected by a pre-v2 server.
-var errSNAPDUnsupported = errors.New("attrspace: server does not support SNAPD")
+// sizeHint is the entry count to presize a snapshot or delta result
+// with. The reply's declared total (or n) is only a hint from the peer:
+// it is clamped to the fields actually received, so a hostile or
+// corrupt value can neither panic make nor force a huge allocation.
+func sizeHint(reply *wire.Message, parts []*wire.Message) int {
+	received := len(reply.Fields)
+	for _, p := range parts {
+		received += len(p.Fields)
+	}
+	return min(max(reply.Int("total", reply.Int("n", 0)), 0), received)
+}
 
 // SnapshotDelta asks the server for just the mutations after `since`
 // (the SNAPD delta-resync verb), so reconnect traffic is proportional
@@ -1282,31 +1140,23 @@ var errSNAPDUnsupported = errors.New("attrspace: server does not support SNAPD")
 // non-nil: ops carries the replayable delta in seq order; full is the
 // complete versioned snapshot the server fell back to because its
 // change log no longer covers the gap. Both come with the context's
-// current seq. Against a server without the verb it returns
-// errSNAPDUnsupported (latched, like MPUT) and the caller falls back
-// to SnapshotSeq.
+// current seq.
 func (c *Client) SnapshotDelta(ctx context.Context, since uint64) (ops []DeltaOp, full map[string]Versioned, ctxSeq uint64, err error) {
-	if c.noSNAPD.Load() || !c.HasCap(wire.CapSnapd) {
-		return nil, nil, 0, errSNAPDUnsupported
-	}
 	reply, parts, err := c.callParts(ctx, "SNAPD",
 		wire.NewMessage("SNAPD").Set("since", strconv.FormatUint(since, 10)))
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	if reply.Verb == "ERROR" && strings.Contains(reply.Get("error"), "unknown verb") {
-		c.noSNAPD.Store(true)
-		return nil, nil, 0, errSNAPDUnsupported
-	}
 	if err := replyErr(reply); err != nil {
 		return nil, nil, 0, err
 	}
+	hint := sizeHint(reply, parts)
 	parts = append(parts, reply)
 	ctxSeq, _ = strconv.ParseUint(reply.Get("seq"), 10, 64)
 	if reply.Verb != "DELTA" {
 		// Change log compacted past `since`: the server shipped a full
 		// versioned snapshot instead.
-		full = make(map[string]Versioned, reply.Int("total", reply.Int("n", 0)))
+		full = make(map[string]Versioned, hint)
 		for _, part := range parts {
 			if err := parseVersionedInto(full, part); err != nil {
 				return nil, nil, 0, err
@@ -1316,7 +1166,7 @@ func (c *Client) SnapshotDelta(ctx context.Context, since uint64) (ops []DeltaOp
 	}
 	// Parts were sent, buffered, and appended in order, and entries
 	// within a part are in order, so ops come out seq-ascending.
-	ops = make([]DeltaOp, 0, reply.Int("total", reply.Int("n", 0)))
+	ops = make([]DeltaOp, 0, hint)
 	for _, part := range parts {
 		n := part.Int("n", 0)
 		for i := 0; i < n; i++ {
@@ -1335,10 +1185,10 @@ func (c *Client) SnapshotDelta(ctx context.Context, since uint64) (ops []DeltaOp
 	return ops, nil, ctxSeq, nil
 }
 
-// Ping performs a wire-level liveness round trip (CapPing). The server
-// answers inline on its read loop, so a timely PONG proves the
-// connection and the peer's dispatch are alive even while bulk replies
-// stream on other goroutines.
+// Ping performs a wire-level liveness round trip. The server answers
+// inline on its read loop, so a timely PONG proves the connection and
+// the peer's dispatch are alive even while bulk replies stream on
+// other goroutines.
 func (c *Client) Ping(ctx context.Context) error {
 	reply, err := c.call(ctx, "PING", wire.NewMessage("PING"))
 	if err != nil {
@@ -1366,14 +1216,14 @@ func parseSnap(reply *wire.Message) (map[string]string, error) {
 }
 
 // replySeq extracts the per-context sequence number a mutating ack or
-// VALUE reply carries; 0 against a pre-seq server.
+// VALUE reply carries.
 func replySeq(reply *wire.Message) uint64 {
 	seq, _ := strconv.ParseUint(reply.Get("seq"), 10, 64)
 	return seq
 }
 
 // PutV is Put returning the per-context seq the server assigned the
-// write (0 against a pre-seq server).
+// write.
 func (c *Client) PutV(ctx context.Context, attribute, value string) (uint64, error) {
 	reply, err := c.call(ctx, "PUT", wire.NewMessage("PUT").Set("attr", attribute).Set("value", value))
 	if err != nil {
@@ -1432,8 +1282,6 @@ func (c *Client) DeleteV(ctx context.Context, attribute string) (uint64, error) 
 }
 
 // PutBatchV is PutBatch returning the seq acked for the last pair.
-// Against a server without MPUT it falls back to sequential PutVs so
-// the returned seq is still the last write's.
 func (c *Client) PutBatchV(ctx context.Context, pairs []KV) (uint64, error) {
 	switch len(pairs) {
 	case 0:
@@ -1441,21 +1289,7 @@ func (c *Client) PutBatchV(ctx context.Context, pairs []KV) (uint64, error) {
 	case 1:
 		return c.PutV(ctx, pairs[0].Key, pairs[0].Value)
 	}
-	if !c.noMPUT.Load() {
-		seq, err := c.mputV(ctx, pairs)
-		if !errors.Is(err, errMPUTUnsupported) {
-			return seq, err
-		}
-	}
-	var last uint64
-	for _, p := range pairs {
-		seq, err := c.PutV(ctx, p.Key, p.Value)
-		if err != nil {
-			return 0, err
-		}
-		last = seq
-	}
-	return last, nil
+	return c.mput(ctx, pairs)
 }
 
 // Subscribe starts event push from the server. Events arrive on the
@@ -1492,14 +1326,14 @@ func (c *Client) Subscribe() error {
 func (c *Client) Events() <-chan Event { return c.events }
 
 // ErrNoGlobal reports a G* verb sent to a server without an upstream
-// CASS (global forwarding not enabled, or an older server).
+// CASS (global forwarding not enabled).
 var ErrNoGlobal = errors.New("attrspace: server has no global forwarding")
 
 // globalErr maps a G* ERROR reply onto client-side sentinels.
 func globalErr(reply *wire.Message) error {
 	if reply.Verb == "ERROR" {
 		text := reply.Get("error")
-		if strings.Contains(text, "unknown verb") || strings.Contains(text, "global forwarding not enabled") {
+		if strings.Contains(text, "global forwarding not enabled") {
 			return ErrNoGlobal
 		}
 		if strings.Contains(text, ErrShardDown.Error()) {
@@ -1599,7 +1433,7 @@ func (c *Client) SnapshotGlobal(ctx context.Context) (map[string]string, error) 
 // round trip. On a sharded LASS the contexts are fetched from their
 // owning CASS shards concurrently (scatter-gather); the result maps
 // context name → attribute snapshot. ErrNoGlobal against servers
-// without forwarding or too old to know the verb.
+// without forwarding.
 func (c *Client) SnapshotGlobalMany(ctx context.Context, contexts []string) (map[string]map[string]string, error) {
 	m := wire.NewMessage("GSNAPM").SetInt("n", len(contexts))
 	for i, name := range contexts {

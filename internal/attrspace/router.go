@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -24,21 +23,15 @@ import (
 //     timeouts — and so one shard's death degrades only its hash range
 //     while the others keep serving;
 //   - a pooled, muxed data connection speaking the context-explicit C*
-//     verbs (CapCtxOp): any context's ops ride this one connection,
+//     verbs: any context's ops ride this one connection,
 //     named per message by a ctx field. Ops destined for the same
 //     shard coalesce into Cork-batched drain cycles — one corked write
 //     and one bounded in-flight window per shard — which both
 //     amortizes the per-frame cost and bounds how many operations can
 //     be in limbo when a shard dies mid-batch.
 //
-// A shard that never granted CapCtxOp (a legacy, pre-shard CASS — the
-// mixed-version pool case) or that answers a C* verb with an
-// unknown-verb error latches legacy mode: its single-context ops fall
-// back to the per-context upstream connections the cache has always
-// held, so a v2 router in front of a v1 CASS behaves exactly like the
-// old GlobalCache. Multi-context scatter-gather (SnapshotMany,
-// Contexts listing, per-shard STATS) fans out concurrently across
-// shardConns and merges.
+// Multi-context scatter-gather (SnapshotMany, Contexts listing,
+// per-shard STATS) fans out concurrently across shardConns and merges.
 
 // ErrShardDown reports an operation routed to a shard whose health
 // session is currently disconnected: the op fails fast rather than
@@ -46,10 +39,6 @@ import (
 // unaffected — this error is the degraded mode, not an outage of the
 // global space.
 var ErrShardDown = errors.New("attrspace: shard down")
-
-// errNoCtxOp marks a shard that does not speak the C* verbs; callers
-// fall back to the per-context connection path.
-var errNoCtxOp = errors.New("attrspace: shard does not speak ctxop")
 
 // defaultShardBatch bounds the operations one drain cycle corks into a
 // single write when CacheConfig.ShardBatch is zero. The bound is the
@@ -87,7 +76,6 @@ type shardConn struct {
 
 	mu       sync.Mutex
 	pool     *Client // pooled C* connection; nil until first use or after loss
-	legacy   bool    // shard spoke v1: no CapCtxOp (or unknown-verb latched)
 	queue    []*shardOp
 	draining bool
 
@@ -95,7 +83,6 @@ type shardConn struct {
 	gErrors   *telemetry.Counter
 	gInflight *telemetry.Gauge
 	cPooled   *telemetry.Counter
-	cFallback *telemetry.Counter
 }
 
 func (gc *GlobalCache) newShardConn(idx int) *shardConn {
@@ -109,7 +96,6 @@ func (gc *GlobalCache) newShardConn(idx int) *shardConn {
 		gErrors:   reg.Counter(prefix + "errors"),
 		gInflight: reg.Gauge(prefix + "inflight"),
 		cPooled:   reg.Counter("attrspace.router.pooled"),
-		cFallback: reg.Counter("attrspace.router.fallback"),
 	}
 	sh.sess = NewSession(SessionConfig{
 		Dial:        gc.dial,
@@ -169,43 +155,20 @@ func (sh *shardConn) healthTick() {
 	sh.gUp.Set(up)
 }
 
-// pooledOK reports whether the pooled C* path should be attempted.
-func (sh *shardConn) pooledOK() bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return !sh.legacy
-}
-
 // dialPool opens (or returns) the pooled data connection. The
-// connection joins the router context — the C* ops it will carry name
-// their real target per message — and offers CapCtxOp on top of the
-// standard client capability set.
+// connection joins the router context; the C* ops it carries name
+// their real target per message.
 func (sh *shardConn) dialPool(ctx context.Context) (*Client, error) {
 	sh.mu.Lock()
-	if pool := sh.pool; pool != nil {
-		sh.mu.Unlock()
+	pool := sh.pool
+	sh.mu.Unlock()
+	if pool != nil {
 		return pool, nil
 	}
-	legacy := sh.legacy
-	sh.mu.Unlock()
-	if legacy {
-		return nil, errNoCtxOp
-	}
-	pool, err := dialWithCaps(ctx, sh.gc.dial, sh.addr, routerContext,
-		append(append([]string(nil), clientCaps...), wire.CapCtxOp))
+	pool, err := DialCtx(ctx, sh.gc.dial, sh.addr, routerContext)
 	if err != nil {
 		sh.gErrors.Inc()
 		return nil, err
-	}
-	if !pool.HasCap(wire.CapCtxOp) {
-		// A live server that does not speak the C* verbs: a legacy
-		// single-shard CASS. Latch fallback mode; the per-context
-		// connections carry its traffic from here on.
-		pool.Close()
-		sh.mu.Lock()
-		sh.legacy = true
-		sh.mu.Unlock()
-		return nil, errNoCtxOp
 	}
 	pool.OnClose(func(error) {
 		sh.mu.Lock()
@@ -221,13 +184,10 @@ func (sh *shardConn) dialPool(ctx context.Context) (*Client, error) {
 }
 
 // do queues one C* request for the next drain cycle and waits for its
-// reply. Fails fast when the shard is down or legacy.
+// reply. Fails fast when the shard is down.
 func (sh *shardConn) do(ctx context.Context, m *wire.Message) (*wire.Message, []*wire.Message, error) {
 	if sh.down() {
 		return nil, nil, sh.downErr()
-	}
-	if !sh.pooledOK() {
-		return nil, nil, errNoCtxOp
 	}
 	op := &shardOp{m: m, done: make(chan shardReply, 1)}
 	sh.mu.Lock()
@@ -247,9 +207,7 @@ func (sh *shardConn) do(ctx context.Context, m *wire.Message) (*wire.Message, []
 	select {
 	case r := <-op.done:
 		if r.err != nil {
-			if !errors.Is(r.err, errNoCtxOp) {
-				sh.gErrors.Inc()
-			}
+			sh.gErrors.Inc()
 			return nil, nil, r.err
 		}
 		return r.reply, r.parts, nil
@@ -323,24 +281,6 @@ func ctxVerb(verb, contextName string) *wire.Message {
 	return wire.NewMessage(verb).Set("ctx", contextName)
 }
 
-// checkCtxOpReply maps a C* reply to an error, latching legacy mode on
-// unknown-verb (a server that granted nothing would already have been
-// latched at dial; this is belt and braces against odd middleboxes).
-func (sh *shardConn) checkCtxOpReply(reply *wire.Message) error {
-	err := replyErr(reply)
-	if err != nil && isUnknownVerb(err) {
-		sh.mu.Lock()
-		sh.legacy = true
-		sh.mu.Unlock()
-		return errNoCtxOp
-	}
-	return err
-}
-
-func isUnknownVerb(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "unknown verb")
-}
-
 // --- single-context pooled operations -------------------------------
 
 func (sh *shardConn) put(ctx context.Context, contextName, attribute, value string) (uint64, error) {
@@ -348,7 +288,7 @@ func (sh *shardConn) put(ctx context.Context, contextName, attribute, value stri
 	if err != nil {
 		return 0, err
 	}
-	if err := sh.checkCtxOpReply(reply); err != nil {
+	if err := replyErr(reply); err != nil {
 		return 0, err
 	}
 	return strconv.ParseUint(reply.Get("seq"), 10, 64)
@@ -365,7 +305,7 @@ func (sh *shardConn) putBatch(ctx context.Context, contextName string, pairs []K
 	if err != nil {
 		return 0, err
 	}
-	if err := sh.checkCtxOpReply(reply); err != nil {
+	if err := replyErr(reply); err != nil {
 		return 0, err
 	}
 	return strconv.ParseUint(reply.Get("seq"), 10, 64)
@@ -379,7 +319,7 @@ func (sh *shardConn) tryGet(ctx context.Context, contextName, attribute string) 
 	if reply.Verb == "NOTFOUND" {
 		return "", 0, ErrNotFound
 	}
-	if err := sh.checkCtxOpReply(reply); err != nil {
+	if err := replyErr(reply); err != nil {
 		return "", 0, err
 	}
 	seq, _ := strconv.ParseUint(reply.Get("seq"), 10, 64)
@@ -391,7 +331,7 @@ func (sh *shardConn) delete(ctx context.Context, contextName, attribute string) 
 	if err != nil {
 		return 0, err
 	}
-	if err := sh.checkCtxOpReply(reply); err != nil {
+	if err := replyErr(reply); err != nil {
 		return 0, err
 	}
 	return strconv.ParseUint(reply.Get("seq"), 10, 64)
@@ -402,7 +342,7 @@ func (sh *shardConn) snapshot(ctx context.Context, contextName string) (map[stri
 	if err != nil {
 		return nil, err
 	}
-	if err := sh.checkCtxOpReply(reply); err != nil {
+	if err := replyErr(reply); err != nil {
 		return nil, err
 	}
 	out := make(map[string]string)
@@ -421,7 +361,7 @@ func (sh *shardConn) contexts(ctx context.Context) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := sh.checkCtxOpReply(reply); err != nil {
+	if err := replyErr(reply); err != nil {
 		return nil, err
 	}
 	n, _ := strconv.Atoi(reply.Get("n"))
@@ -438,8 +378,8 @@ func (sh *shardConn) contexts(ctx context.Context) ([]string, error) {
 // names group by owning shard, each shard's snapshots coalesce into
 // Cork-batched drain cycles on its pooled connection, and the shards
 // run concurrently. The result maps context name → snapshot for every
-// context that answered; err is the first failure (down shard, legacy
-// shard error) with the successes still returned — a degraded pool
+// context that answered; err is the first failure (down shard, shard
+// error) with the successes still returned — a degraded pool
 // yields a partial, labeled picture rather than nothing.
 func (gc *GlobalCache) SnapshotMany(ctx context.Context, names []string) (map[string]map[string]string, error) {
 	type result struct {
@@ -450,12 +390,7 @@ func (gc *GlobalCache) SnapshotMany(ctx context.Context, names []string) (map[st
 	results := make(chan result, len(names))
 	for _, name := range names {
 		go func(name string) {
-			sh := gc.shard(name)
-			snap, err := sh.snapshot(ctx, name)
-			if errors.Is(err, errNoCtxOp) {
-				// Legacy shard: one per-context connection does the job.
-				snap, err = gc.Snapshot(ctx, name)
-			}
+			snap, err := gc.shard(name).snapshot(ctx, name)
 			results <- result{name: name, snap: snap, err: err}
 		}(name)
 	}
@@ -475,8 +410,8 @@ func (gc *GlobalCache) SnapshotMany(ctx context.Context, names []string) (map[st
 }
 
 // GlobalContexts lists the context names alive across every shard
-// (deduplicated, unsorted). Shards that are down or legacy are skipped
-// — the listing is best-effort by design, like the paper's monitoring
+// (deduplicated, unsorted). Shards that are down are skipped — the
+// listing is best-effort by design, like the paper's monitoring
 // verbs — with err reporting the first skip cause when any shard could
 // not answer.
 func (gc *GlobalCache) GlobalContexts(ctx context.Context) ([]string, error) {
@@ -487,19 +422,10 @@ func (gc *GlobalCache) GlobalContexts(ctx context.Context) ([]string, error) {
 	}
 	results := make(chan result, n)
 	for i := 0; i < n; i++ {
-		go func(i int, sh *shardConn) {
+		go func(sh *shardConn) {
 			names, err := sh.contexts(ctx)
-			if errors.Is(err, errNoCtxOp) {
-				// A legacy shard cannot enumerate its contexts — the
-				// v1 protocol has no listing verb. But the router has
-				// forwarded every one of that shard's contexts itself,
-				// so its per-context connection cache is an authoritative
-				// local substitute for everything this LASS touched.
-				sh.cFallback.Inc()
-				names, err = gc.localContextsFor(i), nil
-			}
 			results <- result{names: names, err: err}
-		}(i, gc.shardAt(i))
+		}(gc.shardAt(i))
 	}
 	seen := make(map[string]struct{})
 	var out []string
@@ -520,21 +446,6 @@ func (gc *GlobalCache) GlobalContexts(ctx context.Context) ([]string, error) {
 		}
 	}
 	return out, firstErr
-}
-
-// localContextsFor lists the cached per-context connections whose
-// context hashes to shard i — the router's own record of what it has
-// forwarded to a shard that cannot answer CCTXS itself.
-func (gc *GlobalCache) localContextsFor(i int) []string {
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	var out []string
-	for name := range gc.ctxs {
-		if gc.shards.ShardFor(name) == i {
-			out = append(out, name)
-		}
-	}
-	return out
 }
 
 // ShardStats fetches each live shard's telemetry snapshot

@@ -232,67 +232,6 @@ func TestGlobalContextsUnion(t *testing.T) {
 	}
 }
 
-// TestLegacyShardFallback is the mixed-version pool: one shard that
-// never granted CapCtxOp. The router latches legacy mode for it and
-// its contexts' ops ride the per-context connections — same results,
-// recorded on the fallback counter.
-func TestLegacyShardFallback(t *testing.T) {
-	const n = 2
-	shards := make([]*Server, n)
-	shardAddrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		shards[i], shardAddrs[i] = startServer(t)
-		// No SetShard: a legacy daemon enforces nothing, and granting
-		// shard 1 the old capability set (sans ctxop) makes it a v1 CASS
-		// as far as the router can tell.
-	}
-	var legacyCaps []string
-	for _, cap := range shards[1].Caps() {
-		if cap != "ctxop" {
-			legacyCaps = append(legacyCaps, cap)
-		}
-	}
-	shards[1].SetCaps(legacyCaps...)
-
-	lass := NewServer()
-	lass.EnableGlobalCache(strings.Join(shardAddrs, ","), CacheConfig{
-		SweepInterval: 50 * time.Millisecond,
-	})
-	lassAddr, err := lass.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("ListenAndServe: %v", err)
-	}
-	t.Cleanup(lass.Close)
-
-	ctxs := shardedContexts(t, n)
-	bg := context.Background()
-	for _, name := range ctxs {
-		c := dialT(t, lassAddr, name)
-		if err := c.PutGlobal(bg, "k", "v"); err != nil {
-			t.Fatalf("PutGlobal(%q): %v", name, err)
-		}
-		if v, err := c.TryGetGlobal(bg, "k"); err != nil || v != "v" {
-			t.Fatalf("TryGetGlobal(%q) = %q, %v", name, v, err)
-		}
-	}
-	// Scatter-gather still covers the legacy shard (via its fallback).
-	c := dialT(t, lassAddr, ctxs[0])
-	snaps, err := c.SnapshotGlobalMany(bg, ctxs)
-	if err != nil {
-		t.Fatalf("SnapshotGlobalMany over mixed pool: %v", err)
-	}
-	if len(snaps) != n {
-		t.Fatalf("SnapshotGlobalMany = %d contexts, want %d", len(snaps), n)
-	}
-	reg := lass.Telemetry()
-	if reg.Counter("attrspace.router.fallback").Value() == 0 {
-		t.Error("legacy shard served ops but attrspace.router.fallback never counted")
-	}
-	if reg.Counter("attrspace.router.pooled").Value() == 0 {
-		t.Error("v2 shard present but attrspace.router.pooled never counted")
-	}
-}
-
 // TestShardDownFailsFast: killing one shard degrades only its hash
 // range. Its contexts fail quickly with ErrShardDown (no hanging on
 // dial timeouts); the surviving shard keeps serving.

@@ -44,8 +44,13 @@
 // blocking GETs outstanding on one connection — this is what makes the
 // paper's tdp_async_get natural to implement. MPUT batches a burst of
 // puts (a tool daemon publishing its startup attributes) into one
-// round trip; servers that predate it answer with an unknown-verb
-// ERROR and clients fall back to individual PUTs.
+// round trip.
+//
+// Every connection is stream-multiplexed (wire.Mux) from the moment it
+// is accepted, and every verb above — plus SNAPD, PING and the C*
+// context-explicit verbs — is always served. HELLO negotiates exactly
+// one thing: the shared-memory ring (wire.CapShm), which depends on the
+// client being on the same host, not on its version.
 //
 // Mutating acks and VALUE replies carry the per-context sequence
 // number of the write they report (seq), which is what versions the
@@ -89,12 +94,6 @@ import (
 var serverVerbs = []string{"hello", "put", "mput", "get", "tryget", "delete", "snap", "snapd", "sub",
 	"stats", "ping", "gput", "gmput", "gget", "gtryget", "gdel", "gsnap", "gsnapm", "gctxs",
 	"cput", "cmput", "cget", "cdel", "csnap", "cctxs"}
-
-// defaultServerCaps are the transport capabilities a server grants
-// when the client offers them; see Server.SetCaps. CapShm is listed
-// but additionally gated per connection: it is only granted across a
-// provably same-host transport (see the HELLO handler).
-var defaultServerCaps = []string{wire.CapMux, wire.CapSnapd, wire.CapChunk, wire.CapPing, wire.CapCtxOp, wire.CapByteWin, wire.CapShm}
 
 // verbMetrics caches one verb's hot-path metric handles.
 type verbMetrics struct {
@@ -140,9 +139,9 @@ type Server struct {
 	closed    bool
 	draining  bool // Shutdown in progress; Serve exits cleanly
 
-	// caps is the transport-v2 capability set this server grants; see
-	// SetCaps. Never nil after NewServer.
-	caps atomic.Pointer[[]string]
+	// noShm withholds the shared-memory ring from every client; see
+	// SetShm.
+	noShm atomic.Bool
 
 	// inflight counts requests currently inside their synchronous
 	// dispatch (reply not yet written). Blocked GETs hand off to a
@@ -190,52 +189,15 @@ func NewServerWithSpace(space *attr.Space) *Server {
 		conns: make(map[*serverConn]struct{}),
 	}
 	s.evBuf.Store(DefaultEventBuffer)
-	s.caps.Store(&defaultServerCaps)
 	s.SetTelemetry(telemetry.NewRegistry(), telemetry.NewTracer("attrspace"))
 	return s
 }
 
-// SetCaps replaces the transport-v2 capability set this server is
-// willing to grant on HELLO. Callers pass wire.CapMux etc.; passing
-// none makes the server behave exactly like a pre-v2 build (SNAPD and
-// PING answered with unknown-verb errors, no mux, no chunking) — the
-// interop tests use that to simulate a v1 peer.
-func (s *Server) SetCaps(caps ...string) {
-	cp := append([]string(nil), caps...)
-	s.caps.Store(&cp)
-}
-
-// Caps returns the capability set granted on HELLO.
-func (s *Server) Caps() []string { return *s.caps.Load() }
-
-// CapsWithoutShm returns caps minus the shared-memory transport
-// capability — the -shm=false path of lassd/cassd, which keeps every
-// client on the socket byte stream while leaving the rest of the v2/v3
-// capability set intact.
-func CapsWithoutShm(caps []string) []string {
-	return withoutCap(caps, wire.CapShm)
-}
-
-// withoutCap returns caps minus the named capability (a copy; the
-// input — often the server's live set — is never mutated).
-func withoutCap(caps []string, name string) []string {
-	out := make([]string, 0, len(caps))
-	for _, c := range caps {
-		if c != name {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-func (s *Server) capEnabled(name string) bool {
-	for _, c := range *s.caps.Load() {
-		if c == name {
-			return true
-		}
-	}
-	return false
-}
+// SetShm sets whether HELLO may grant the shared-memory ring transport
+// (on by default; lassd/cassd -shm=false turns it off). Without it a
+// same-host client stays on its unix socket. Connections already
+// cut over are unaffected.
+func (s *Server) SetShm(on bool) { s.noShm.Store(!on) }
 
 // SetShard declares this server to be shard idx of a total-way
 // partitioned CASS (the cassd -shard i/n flag). From then on HELLO and
@@ -410,11 +372,13 @@ func (s *Server) Serve(l net.Listener) error {
 			}
 			return err
 		}
-		sc := &serverConn{srv: s, wc: wire.NewConn(c), raw: c}
 		// Re-read the current registry per accept, so connections made
 		// after SetTelemetry count into the new registry.
 		tel := s.tel.Load()
-		sc.wc.InstrumentRegistry(tel.reg)
+		wc := wire.NewConn(c)
+		wc.InstrumentRegistry(tel.reg)
+		sc := &serverConn{srv: s, wc: wc, raw: c,
+			mux: wire.NewMux(wc, wire.MuxConfig{Registry: tel.reg})}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -565,12 +529,11 @@ type serverConn struct {
 	srv *Server
 	wc  *wire.Conn
 	raw net.Conn
+	mux *wire.Mux
 
-	mu   sync.Mutex
-	ref  *attr.Ref // joined context, nil until HELLO
-	sub  *attr.Subscription
-	caps map[string]bool // capabilities granted on HELLO; nil = v1 peer
-	mux  *wire.Mux       // non-nil once CapMux granted
+	mu  sync.Mutex
+	ref *attr.Ref // joined context, nil until HELLO
+	sub *attr.Subscription
 
 	// Transport-v3 cutover state: the segment created at HELLO (and its
 	// file, removed once the client maps it — or at teardown if the
@@ -581,19 +544,6 @@ type serverConn struct {
 	shmSeg  *wire.ShmSegment
 	shmPath string
 	shmEP   *wire.ShmEndpoint
-}
-
-// muxer returns the connection's mux, or nil before CapMux was granted.
-func (c *serverConn) muxer() *wire.Mux {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mux
-}
-
-func (c *serverConn) capGranted(name string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.caps[name]
 }
 
 func (c *serverConn) run() {
@@ -633,15 +583,11 @@ func (c *serverConn) run() {
 	m := new(wire.Message)
 	for {
 		if err := c.wc.RecvInto(m); err != nil {
-			if x := c.muxer(); x != nil {
-				x.Fail(err) // wake event/chunk senders blocked on windows
-			}
-			return // disconnect
+			c.mux.Fail(err) // wake event/chunk senders blocked on windows
+			return          // disconnect
 		}
-		if x := c.muxer(); x != nil {
-			if _, handled := x.Accept(m); handled {
-				continue // pure transport (WINUP), nothing to dispatch
-			}
+		if _, handled := c.mux.Accept(m); handled {
+			continue // pure transport (WINUP), nothing to dispatch
 		}
 		// The inflight window covers only the synchronous part of the
 		// dispatch: once dispatch returns, any still-pending reply
@@ -683,47 +629,24 @@ func (c *serverConn) dispatch(ctx context.Context, m *wire.Message) bool {
 			done.End()
 			return false
 		}
-		// Capability negotiation: grant the intersection of what the
-		// client offered and what this server speaks. A v1 client sends
-		// no caps field and gets none back; a v1 server ignores the
-		// field entirely — either way both ends stay on v1 behavior.
-		// CapShm is further gated on the transport itself: it is only
-		// honest across a same-host connection this build can mmap on,
-		// so anywhere else it is stripped from the supported set before
-		// the intersection — the client sees a plain v2 grant.
-		supported := srv.Caps()
-		if !wire.ShmSupported() || !sameHostConn(c.raw) {
-			supported = withoutCap(supported, wire.CapShm)
-		}
-		granted := wire.IntersectCaps(m.Get("caps"), supported)
+		// The shm ring is the one negotiated upgrade, granted when the
+		// client offered it, this server allows it, and the connection is
+		// provably same-host on a build that can mmap. A segment creation
+		// failure (full temp dir, exotic fs) quietly withdraws the grant:
+		// the client stays on the socket.
+		wantShm := wire.ParseCaps(m.Get("caps"))[wire.CapShm] &&
+			!srv.noShm.Load() && wire.ShmSupported() && sameHostConn(c.raw)
 		c.mu.Lock()
 		already := c.ref != nil
 		var shmPath string
 		if !already {
 			c.ref = srv.space.Join(name)
-			if granted != "" {
-				c.caps = wire.ParseCaps(granted)
-				if c.caps[wire.CapShm] {
-					// Create the segment now so its path rides the OK. A
-					// creation failure (full temp dir, exotic fs) quietly
-					// withdraws the grant — the client falls back to the
-					// socket like any v2 peer.
-					shmPath = shmSegmentPath()
-					if seg, err := wire.CreateShmSegment(shmPath, 0); err == nil {
-						c.shmSeg, c.shmPath = seg, shmPath
-					} else {
-						srv.log().Debugf("attrspace: shm segment create: %v", err)
-						delete(c.caps, wire.CapShm)
-						supported = withoutCap(supported, wire.CapShm)
-						granted = wire.IntersectCaps(granted, supported)
-						shmPath = ""
-					}
-				}
-				if c.caps[wire.CapMux] {
-					c.mux = wire.NewMux(c.wc, wire.MuxConfig{
-						Registry:   srv.tel.Load().reg,
-						ByteWindow: c.caps[wire.CapByteWin],
-					})
+			if wantShm {
+				path := shmSegmentPath()
+				if seg, err := wire.CreateShmSegment(path, 0); err == nil {
+					c.shmSeg, c.shmPath, shmPath = seg, path, path
+				} else {
+					srv.log().Debugf("attrspace: shm segment create: %v", err)
 				}
 			}
 		}
@@ -734,11 +657,8 @@ func (c *serverConn) dispatch(ctx context.Context, m *wire.Message) bool {
 			return false
 		}
 		ok := wire.NewMessage("OK").Set("id", m.Get("id"))
-		if granted != "" {
-			ok.Set("caps", granted)
-		}
 		if shmPath != "" {
-			ok.Set("shmfile", shmPath)
+			ok.Set("caps", wire.CapShm).Set("shmfile", shmPath)
 		}
 		c.reply(ok)
 		done.End()
@@ -771,13 +691,9 @@ func (c *serverConn) dispatch(ctx context.Context, m *wire.Message) bool {
 	case "EXIT":
 		return true
 	case "PING":
-		// Wire-level liveness probe (CapPing). Answered inline on the
-		// read loop — which is the point: a client's heartbeat must get
-		// through even while bulk replies stream from side goroutines.
-		if !srv.capEnabled(wire.CapPing) {
-			c.unknownVerb(m) // a pre-v2 server would not know PING
-			return false
-		}
+		// Wire-level liveness probe. Answered inline on the read loop —
+		// which is the point: a client's heartbeat must get through even
+		// while bulk replies stream from side goroutines.
 		done := srv.observe("PING")
 		c.reply(wire.NewMessage("PONG").Set("id", m.Get("id")))
 		done.End()
@@ -787,22 +703,12 @@ func (c *serverConn) dispatch(ctx context.Context, m *wire.Message) bool {
 		// any attribute space, so monitoring tools can probe a
 		// server without joining (and without bumping refcounts).
 		c.handleStats(m)
-	case "SNAPD":
-		if !srv.capEnabled(wire.CapSnapd) {
-			c.unknownVerb(m) // a pre-v2 server would not know SNAPD
-			return false
-		}
-		c.handleOp(ctx, m)
-	case "PUT", "MPUT", "GET", "TRYGET", "DELETE", "SNAP", "SUB":
+	case "PUT", "MPUT", "GET", "TRYGET", "DELETE", "SNAP", "SNAPD", "SUB":
 		c.handleOp(ctx, m)
 	case "CPUT", "CMPUT", "CGET", "CDEL", "CSNAP", "CCTXS":
-		// Context-explicit ops (CapCtxOp): the shard router's pooled
-		// connections name the target context per message instead of
-		// being bound to one at HELLO.
-		if !srv.capEnabled(wire.CapCtxOp) {
-			c.unknownVerb(m) // a pre-shard server would not know these
-			return false
-		}
+		// Context-explicit ops: the shard router's pooled connections
+		// name the target context per message instead of being bound to
+		// one at HELLO.
 		c.handleCtxOp(m)
 	case "GPUT", "GMPUT", "GGET", "GTRYGET", "GDEL", "GSNAP", "GSNAPM", "GCTXS":
 		c.handleGlobal(ctx, m)
@@ -812,8 +718,7 @@ func (c *serverConn) dispatch(ctx context.Context, m *wire.Message) bool {
 	return false
 }
 
-// unknownVerb is the v1-compat fallback reply: clients probe new verbs
-// and latch off the ones a server rejects this way.
+// unknownVerb answers a verb this server does not serve.
 func (c *serverConn) unknownVerb(m *wire.Message) {
 	c.reply(wire.NewMessage("ERROR").Set("id", m.Get("id")).
 		Set("error", fmt.Sprintf("unknown verb %q", m.Verb)))
@@ -1135,10 +1040,10 @@ func decodeBatch(m *wire.Message) ([]attr.KV, error) {
 }
 
 // SnapChunkEntries is the entry-count threshold above which versioned
-// snapshot and delta replies are split into part/more chunks when the
-// client negotiated CapChunk. 256 entries keep each frame well under
-// 64KiB for typical attribute sizes while leaving few enough parts
-// that chunking overhead is negligible.
+// snapshot and delta replies are split into part/more chunks on the
+// bulk stream. 256 entries keep each frame well under 64KiB for
+// typical attribute sizes while leaving few enough parts that chunking
+// overhead is negligible.
 const SnapChunkEntries = 256
 
 // snapEntry is one attribute in a snapshot or delta reply.
@@ -1177,23 +1082,22 @@ func appendEntries(m *wire.Message, entries []snapEntry) {
 	}
 }
 
-// sendEntryChunks streams entries as `verb` replies. Small replies (or
-// v1 peers) get the single-message form. Large replies with CapChunk
-// granted are split into parts of SnapChunkEntries each and sent from
-// their own goroutine on the bulk stream, so the read loop keeps
-// servicing the connection — PING heartbeats and window updates
-// interleave with the replay instead of queueing behind it. done is
-// stopped once the last part (or the single reply) is out.
+// sendEntryChunks streams entries as `verb` replies. Small replies get
+// the single-message form. Large replies are split into parts of
+// SnapChunkEntries each and sent from their own goroutine on the bulk
+// stream, so the read loop keeps servicing the connection — PING
+// heartbeats and window updates interleave with the replay instead of
+// queueing behind it. done is stopped once the last part (or the
+// single reply) is out.
 func (c *serverConn) sendEntryChunks(verb, id string, entries []snapEntry, ctxSeq uint64, done telemetry.Stopwatch) {
 	seqStr := strconv.FormatUint(ctxSeq, 10)
-	if len(entries) <= SnapChunkEntries || !c.capGranted(wire.CapChunk) {
+	if len(entries) <= SnapChunkEntries {
 		m := wire.NewMessage(verb).Set("id", id).SetInt("n", len(entries)).Set("seq", seqStr)
 		appendEntries(m, entries)
 		c.reply(m)
 		done.End()
 		return
 	}
-	x := c.muxer()
 	go func() {
 		defer done.End()
 		total := len(entries)
@@ -1208,13 +1112,7 @@ func (c *serverConn) sendEntryChunks(verb, id string, entries []snapEntry, ctxSe
 				m.Set("more", "1")
 			}
 			appendEntries(m, entries[lo:hi])
-			var err error
-			if x != nil {
-				err = x.SendOn(wire.StreamBulk, m)
-			} else {
-				err = c.wc.Send(m)
-			}
-			if err != nil {
+			if err := c.mux.SendOn(wire.StreamBulk, m); err != nil {
 				c.srv.log().Debugf("attrspace: chunked %s to %v failed: %v", verb, c.raw.RemoteAddr(), err)
 				return
 			}
@@ -1230,10 +1128,9 @@ func (c *serverConn) sendEntryChunks(verb, id string, entries []snapEntry, ctxSe
 // consumer knows its picture has a gap.
 func (c *serverConn) pushEvents(sub *attr.Subscription) {
 	tel := c.srv.tel.Load()
-	// The mux (fixed by HELLO, which precedes any SUB) puts events on
-	// their own flow-controlled stream: a subscriber that stops reading
-	// stalls only this goroutine, never the request/reply path.
-	x := c.muxer()
+	// The mux puts events on their own flow-controlled stream: a
+	// subscriber that stops reading stalls only this goroutine, never
+	// the request/reply path.
 	updates := sub.Updates()
 	var reportedLost, reportedCoal uint64
 	for u := range updates {
@@ -1249,7 +1146,7 @@ func (c *serverConn) pushEvents(sub *attr.Subscription) {
 		}
 		tel.evDepth.Set(int64(sub.Depth()))
 		c.wc.Cork()
-		err := c.sendEvent(x, u, lostDelta)
+		err := c.sendEvent(u, lostDelta)
 		sent := 1
 	drain:
 		for err == nil {
@@ -1258,7 +1155,7 @@ func (c *serverConn) pushEvents(sub *attr.Subscription) {
 				if !ok {
 					break drain
 				}
-				err = c.sendEvent(x, u, 0)
+				err = c.sendEvent(u, 0)
 				sent++
 			default:
 				break drain
@@ -1274,7 +1171,7 @@ func (c *serverConn) pushEvents(sub *attr.Subscription) {
 	}
 }
 
-func (c *serverConn) sendEvent(x *wire.Mux, u attr.Update, lost uint64) error {
+func (c *serverConn) sendEvent(u attr.Update, lost uint64) error {
 	m := wire.NewMessage("EVENT").
 		Set("attr", u.Attr).
 		Set("value", u.Value).
@@ -1283,10 +1180,7 @@ func (c *serverConn) sendEvent(x *wire.Mux, u attr.Update, lost uint64) error {
 	if lost > 0 {
 		m.Set("lost", strconv.FormatUint(lost, 10))
 	}
-	if x != nil {
-		return x.SendOn(wire.StreamEvents, m)
-	}
-	return c.wc.Send(m)
+	return c.mux.SendOn(wire.StreamEvents, m)
 }
 
 // handleGlobal serves the G* forwarding verbs: this server acting as a
@@ -1390,13 +1284,7 @@ func (c *serverConn) reply(m *wire.Message) {
 	// Replies ride the control stream; routing them through the mux
 	// piggybacks accumulated credit grants on traffic the client was
 	// waiting for anyway.
-	var err error
-	if x := c.muxer(); x != nil {
-		err = x.SendOn(wire.StreamControl, m)
-	} else {
-		err = c.wc.Send(m)
-	}
-	if err != nil {
+	if err := c.mux.SendOn(wire.StreamControl, m); err != nil {
 		c.srv.log().Debugf("attrspace: send to %v failed: %v", c.raw.RemoteAddr(), err)
 	}
 }

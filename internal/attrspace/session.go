@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"tdp/internal/telemetry"
-	"tdp/internal/wire"
 )
 
 // API is the attribute-space surface the tdp layer programs against:
@@ -113,8 +112,7 @@ type SessionConfig struct {
 	// Heartbeat, when > 0, pings the server at this interval on every
 	// live connection and declares the connection lost when a ping gets
 	// no reply within one interval — catching half-dead transports that
-	// never produce a read error. Silently inactive against servers
-	// that did not grant the ping capability. 0 = disabled.
+	// never produce a read error. 0 = disabled.
 	Heartbeat time.Duration
 	// Seed seeds the jitter RNG so tests are deterministic; 0 seeds
 	// from the clock.
@@ -677,8 +675,6 @@ func (s *Session) resync(c *Client, preSeq uint64) {
 			// ctxSeq < preSeq: the context was destroyed and recreated
 			// while we were away. The delta is from the wrong seq epoch;
 			// only a full snapshot can establish the new one.
-		case errors.Is(err, errSNAPDUnsupported):
-			// Pre-v2 server: fall through to the full snapshot path.
 		default:
 			// A transport error here fails the client, which re-triggers
 			// the reconnect loop — the next install resyncs again.
@@ -771,9 +767,6 @@ func (s *Session) applyFullResync(snap map[string]Versioned, ctxSeq, preSeq uint
 // chunked snapshot replay, which is why large resyncs no longer read
 // as dead transports.
 func (s *Session) heartbeatLoop(gen uint64, c *Client) {
-	if !c.HasCap(wire.CapPing) {
-		return
-	}
 	t := time.NewTicker(s.cfg.Heartbeat)
 	defer t.Stop()
 	for {

@@ -17,7 +17,7 @@ import (
 // local. The dominant TDP hop — AP or paradynd talking to the LASS on
 // the same execution host — then skips the TCP stack entirely while
 // remote clients keep using TCP, with no configuration on either side.
-// On top of the socket, transport v3 (wire.CapShm) negotiates a
+// On top of the socket, HELLO negotiates (wire.CapShm) a
 // shared-memory ring pair per connection: the segment file lives
 // beside the sockets in the temp directory, travels in the HELLO
 // reply, and is unlinked as soon as both ends have mapped it.

@@ -6,6 +6,8 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,85 +18,86 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Capability negotiation.
+// HELLO negotiation.
 
+// TestCapsNegotiated pins down the HELLO grant. The shm ring is the only
+// negotiated upgrade: it is granted exactly when the connection is a
+// unix socket, the client offered it, the server allows it and this
+// build can map a segment. Every other offer — nothing, an older
+// client's long list, junk — gets an OK without a caps field, and the
+// whole protocol (PING, SNAPD, the C* verbs) is served regardless.
 func TestCapsNegotiated(t *testing.T) {
-	_, addr := startServer(t)
-	c := dialT(t, addr, "job1")
-	for _, cap := range []string{wire.CapMux, wire.CapSnapd, wire.CapChunk, wire.CapPing} {
-		if !c.HasCap(cap) {
-			t.Errorf("HasCap(%s) = false against a v2 server", cap)
-		}
+	cases := []struct {
+		name  string
+		unix  bool
+		noShm bool // server started with SetShm(false)
+		offer string
+	}{
+		{name: "tcp-none", offer: ""},
+		{name: "tcp-shm", offer: "shm"},
+		{name: "tcp-old-list", offer: "mux,snapd,chunk,ping,bytewin,shm"},
+		{name: "tcp-junk", offer: "bogus,,shm,shm"},
+		{name: "unix-none", unix: true, offer: ""},
+		{name: "unix-shm", unix: true, offer: "shm"},
+		{name: "unix-old-list", unix: true, offer: "mux,snapd,chunk,ping,bytewin,shm"},
+		{name: "unix-junk", unix: true, offer: "bogus,,shm,shm"},
+		{name: "unix-shm-off", unix: true, noShm: true, offer: "shm"},
 	}
-	if err := c.Ping(context.Background()); err != nil {
-		t.Errorf("Ping: %v", err)
-	}
-}
-
-func TestCapsAgainstV1Server(t *testing.T) {
-	srv, addr := startServer(t)
-	srv.SetCaps() // simulate a pre-v2 server: grant nothing
-	c := dialT(t, addr, "job1")
-	for _, cap := range []string{wire.CapMux, wire.CapSnapd, wire.CapChunk, wire.CapPing} {
-		if c.HasCap(cap) {
-			t.Errorf("HasCap(%s) = true against a v1 server", cap)
-		}
-	}
-	// The v1 surface still works end to end.
-	if err := c.Put("pid", "42"); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if v, err := c.TryGet("pid"); err != nil || v != "42" {
-		t.Fatalf("TryGet = %q, %v", v, err)
-	}
-	if err := c.Ping(context.Background()); err == nil {
-		t.Error("Ping against a v1 server succeeded; want unknown-verb error")
-	}
-}
-
-// TestV1ClientAgainstV2Server drives the server with a raw pre-v2
-// client: HELLO without a caps offer must yield an OK without caps, and
-// a large SNAP must come back as one inline SNAPV (no chunk framing the
-// old client would not understand).
-func TestV1ClientAgainstV2Server(t *testing.T) {
-	_, addr := startServer(t)
-	seed := dialT(t, addr, "job1")
-	var pairs []KV
-	for i := 0; i < SnapChunkEntries*2; i++ {
-		pairs = append(pairs, KV{Key: fmt.Sprintf("a%04d", i), Value: "v"})
-	}
-	if err := seed.PutBatch(pairs); err != nil {
-		t.Fatalf("PutBatch: %v", err)
-	}
-
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer raw.Close()
-	wc := wire.NewConn(raw)
-	if err := wc.Send(wire.NewMessage("HELLO").Set("context", "job1").Set("id", "1")); err != nil {
-		t.Fatalf("HELLO: %v", err)
-	}
-	ok, err := wc.Recv()
-	if err != nil || ok.Verb != "OK" {
-		t.Fatalf("HELLO reply = %v, %v", ok, err)
-	}
-	if got := ok.Get("caps"); got != "" {
-		t.Fatalf("server granted caps %q to a client that offered none", got)
-	}
-	if err := wc.Send(wire.NewMessage("SNAP").Set("id", "2").Set("seqs", "1")); err != nil {
-		t.Fatalf("SNAP: %v", err)
-	}
-	snap, err := wc.Recv()
-	if err != nil || snap.Verb != "SNAPV" {
-		t.Fatalf("SNAP reply = %v, %v", snap, err)
-	}
-	if snap.Get("more") != "" || snap.Get("part") != "" {
-		t.Errorf("v1 client got a chunked snapshot part: more=%q part=%q", snap.Get("more"), snap.Get("part"))
-	}
-	if n := snap.Int("n", -1); n != len(pairs) {
-		t.Errorf("inline snapshot n = %d, want %d", n, len(pairs))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := NewServer()
+			srv.SetShm(!tc.noShm)
+			laddr := "127.0.0.1:0"
+			if tc.unix {
+				laddr = "unix:" + filepath.Join(t.TempDir(), "hello.sock")
+			}
+			addr, err := srv.ListenAndServe(laddr)
+			if err != nil {
+				t.Fatalf("ListenAndServe: %v", err)
+			}
+			t.Cleanup(srv.Close)
+			network := "tcp"
+			if path, ok := strings.CutPrefix(addr, "unix:"); ok {
+				network, addr = "unix", path
+			}
+			raw, err := net.Dial(network, addr)
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			t.Cleanup(func() { raw.Close() })
+			rc := &rawCaller{t: t, wc: wire.NewConn(raw)}
+			hello := wire.NewMessage("HELLO").Set("context", "job1")
+			if tc.offer != "" {
+				hello.Set("caps", tc.offer)
+			}
+			ok := rc.call(hello)
+			if ok.Verb != "OK" {
+				t.Fatalf("HELLO reply = %v", ok)
+			}
+			wantShm := tc.unix && !tc.noShm && strings.Contains(tc.offer, "shm") && wire.ShmSupported()
+			caps, granted := ok.Lookup("caps")
+			switch {
+			case wantShm && caps != wire.CapShm:
+				t.Fatalf("caps = %q, %v; want exactly %q", caps, granted, wire.CapShm)
+			case wantShm && ok.Get("shmfile") == "":
+				t.Fatal("shm granted without a shmfile")
+			case !wantShm && (granted || ok.Get("shmfile") != ""):
+				t.Fatalf("OK carries caps=%q shmfile=%q; want neither", caps, ok.Get("shmfile"))
+			}
+			if tc.offer != "" {
+				return // a granted conn now expects SHMRDY, not requests
+			}
+			// Nothing offered: the full protocol is still served.
+			if got := rc.call(wire.NewMessage("PING")); got.Verb != "PONG" {
+				t.Errorf("PING reply = %v, want PONG", got)
+			}
+			if got := rc.call(wire.NewMessage("CPUT").Set("ctx", "job1").Set("attr", "a").Set("value", "1")); got.Verb != "OK" {
+				t.Errorf("CPUT reply = %v, want OK", got)
+			}
+			if got := rc.call(wire.NewMessage("SNAPD").Set("since", "0")); got.Verb != "DELTA" || got.Int("n", 0) != 1 {
+				t.Errorf("SNAPD reply = %v, want a one-entry DELTA", got)
+			}
+		})
 	}
 }
 
@@ -185,12 +188,42 @@ func TestSnapshotDeltaCompactedFallsBackToFull(t *testing.T) {
 	}
 }
 
-func TestSnapshotDeltaAgainstV1Server(t *testing.T) {
-	srv, addr := startServer(t)
-	srv.SetCaps()
-	c := dialT(t, addr, "job1")
-	if _, _, _, err := c.SnapshotDelta(context.Background(), 0); err == nil {
-		t.Fatal("SnapshotDelta against a v1 server succeeded; want unsupported error")
+// TestSnapshotSizeHintFromPeer: a snapshot or delta reply's declared
+// total is only a hint. A negative one must not panic the caller and a
+// huge one must not be allocated for; both results are simply what the
+// reply actually carried. The fake server grants the long capability
+// list servers used to negotiate verb by verb; the client must ignore
+// every name in it but shm.
+func TestSnapshotSizeHintFromPeer(t *testing.T) {
+	for _, total := range []string{"-1", strconv.FormatInt(1<<40, 10)} {
+		t.Run("total="+total, func(t *testing.T) {
+			addr := fakeServer(t, "mux,snapd,chunk,ping,bytewin", func(wc *wire.Conn, m *wire.Message) {
+				reply := wire.NewMessage("SNAPV")
+				if m.Verb == "SNAPD" && m.Get("since") == "1" {
+					reply = wire.NewMessage("DELTA")
+				}
+				reply.Set("id", m.Get("id")).Set("n", "0").Set("total", total).Set("seq", "7")
+				wc.Send(reply)
+			})
+			c, err := Dial(nil, addr, "job1")
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			defer c.Close()
+			ctx := context.Background()
+			ops, full, seq, err := c.SnapshotDelta(ctx, 1)
+			if err != nil || len(ops) != 0 || full != nil || seq != 7 {
+				t.Errorf("SnapshotDelta = %d ops, full=%v, seq %d, %v", len(ops), full != nil, seq, err)
+			}
+			ops, full, seq, err = c.SnapshotDelta(ctx, 2) // answered with a full SNAPV
+			if err != nil || ops != nil || len(full) != 0 || seq != 7 {
+				t.Errorf("SnapshotDelta full = %d ops, %d entries, seq %d, %v", len(ops), len(full), seq, err)
+			}
+			snap, seq, err := c.SnapshotSeq(ctx)
+			if err != nil || len(snap) != 0 || seq != 7 {
+				t.Errorf("SnapshotSeq = %d entries, seq %d, %v", len(snap), seq, err)
+			}
+		})
 	}
 }
 
@@ -297,8 +330,8 @@ func TestUnixSocketRoundTrip(t *testing.T) {
 	if v, err := c.TryGet("pid"); err != nil || v != "7" {
 		t.Fatalf("TryGet = %q, %v", v, err)
 	}
-	if !c.HasCap(wire.CapMux) {
-		t.Error("caps not negotiated over the unix transport")
+	if err := c.Ping(context.Background()); err != nil {
+		t.Errorf("Ping over unix socket: %v", err)
 	}
 }
 
@@ -445,12 +478,6 @@ func TestShmCutoverOverUnixSocket(t *testing.T) {
 	}
 	t.Cleanup(srv.Close)
 	c := dialT(t, bound, "job1")
-	if !c.HasCap(wire.CapShm) {
-		t.Fatal("CapShm not granted over a unix socket")
-	}
-	if !c.HasCap(wire.CapByteWin) {
-		t.Fatal("CapByteWin not granted")
-	}
 	if !c.ShmActive() {
 		t.Fatal("shm cutover did not complete")
 	}
@@ -509,23 +536,23 @@ func TestShmCutoverOverUnixSocket(t *testing.T) {
 	}
 }
 
-// TestShmWithdrawnByServer: a server configured without CapShm leaves
-// a shm-offering client on the plain v2 socket path.
+// TestShmWithdrawnByServer: a server with shm turned off leaves a
+// shm-offering client on the plain socket path.
 func TestShmWithdrawnByServer(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tdp.sock")
 	srv := NewServer()
-	srv.SetCaps(wire.CapMux, wire.CapSnapd, wire.CapChunk, wire.CapPing, wire.CapCtxOp, wire.CapByteWin)
+	srv.SetShm(false)
 	bound, err := srv.ListenAndServe("unix:" + path)
 	if err != nil {
 		t.Fatalf("ListenAndServe: %v", err)
 	}
 	t.Cleanup(srv.Close)
 	c := dialT(t, bound, "job1")
-	if c.HasCap(wire.CapShm) || c.ShmActive() {
-		t.Fatal("shm engaged against a server that does not speak it")
+	if c.ShmActive() {
+		t.Fatal("shm engaged against a server that does not grant it")
 	}
 	if err := c.Put("k", "v"); err != nil {
-		t.Fatalf("Put on the v2 fallback: %v", err)
+		t.Fatalf("Put on the socket: %v", err)
 	}
 }
 
@@ -539,7 +566,7 @@ func TestShmNotOfferedOverTCP(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	t.Cleanup(func() { c.Close() })
-	if c.HasCap(wire.CapShm) || c.ShmActive() {
+	if c.ShmActive() {
 		t.Fatal("shm engaged over TCP")
 	}
 	if err := c.Put("k", "v"); err != nil {

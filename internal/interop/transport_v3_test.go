@@ -17,37 +17,29 @@ import (
 	"tdp/internal/wire"
 )
 
-// TestTransportV3FallbackMatrix drives one current client stack against
-// servers frozen at each transport generation, over the transports
-// where each pairing can occur in a real pool. Every cell must settle
-// on exactly the capability set both ends support and then serve the
-// same operations:
+// TestTransportV3FallbackMatrix drives one client stack against a
+// server over the transports where each pairing can occur in a real
+// pool. The shm ring is the only thing that differs between cells;
+// every cell then serves the same operations:
 //
-//	v3 server, unix dial  → shm ring + byte windows
-//	v3 server, tcp dial   → byte windows, no shm (client never offers it off-host)
-//	v2 server, unix dial  → mux/snapd/chunk/ping, message windows, no shm
-//	v1 server, unix dial  → bare v1 framing
+//	unix dial, shm allowed       → shm ring
+//	tcp dial                     → socket (the client never offers shm off-host)
+//	unix dial, server -shm=false → socket
 func TestTransportV3FallbackMatrix(t *testing.T) {
-	v2caps := []string{wire.CapMux, wire.CapSnapd, wire.CapChunk, wire.CapPing, wire.CapCtxOp}
 	cases := []struct {
-		name     string
-		caps     []string // nil = server default (v3)
-		tcp      bool
-		wantShm  bool
-		wantByte bool
-		wantMux  bool
+		name    string
+		noShm   bool // server started with SetShm(false)
+		tcp     bool
+		wantShm bool
 	}{
-		{name: "v3-unix", caps: nil, wantShm: wire.ShmSupported(), wantByte: true, wantMux: true},
-		{name: "v3-tcp", caps: nil, tcp: true, wantByte: true, wantMux: true},
-		{name: "v2-unix", caps: v2caps, wantMux: true},
-		{name: "v1-unix", caps: []string{}},
+		{name: "v3-unix", wantShm: wire.ShmSupported()},
+		{name: "v3-tcp", tcp: true},
+		{name: "unix-noshm", noShm: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := attrspace.NewServer()
-			if tc.caps != nil {
-				srv.SetCaps(tc.caps...)
-			}
+			srv.SetShm(!tc.noShm)
 			var addr string
 			var err error
 			if tc.tcp {
@@ -72,12 +64,6 @@ func TestTransportV3FallbackMatrix(t *testing.T) {
 			if got := c.ShmActive(); got != tc.wantShm {
 				t.Errorf("ShmActive = %v, want %v", got, tc.wantShm)
 			}
-			if got := c.HasCap(wire.CapByteWin); got != tc.wantByte {
-				t.Errorf("HasCap(bytewin) = %v, want %v", got, tc.wantByte)
-			}
-			if got := c.HasCap(wire.CapMux); got != tc.wantMux {
-				t.Errorf("HasCap(mux) = %v, want %v", got, tc.wantMux)
-			}
 			// The same operation script must work in every cell,
 			// whatever transport it landed on.
 			for i := 0; i < 50; i++ {
@@ -92,11 +78,8 @@ func TestTransportV3FallbackMatrix(t *testing.T) {
 			if err != nil || len(snap) != 50 {
 				t.Fatalf("SnapshotSeq = %d entries, %v; want 50", len(snap), err)
 			}
-			if tc.wantMux {
-				// Every mux-era server here also grants ping.
-				if err := c.Ping(context.Background()); err != nil {
-					t.Fatalf("Ping: %v", err)
-				}
+			if err := c.Ping(context.Background()); err != nil {
+				t.Fatalf("Ping: %v", err)
 			}
 		})
 	}
@@ -167,11 +150,11 @@ func splitFrames(t *testing.T, data []byte) [][]byte {
 }
 
 // TestTransportV3ClientBytesMatchV2 is the wire-identity half of the
-// fallback matrix: a shm-capable client talking to a server that
-// grants nothing must emit, after the HELLO, exactly the message
-// stream a client with no shm eligibility emits — the v3 machinery may
-// not leak a single byte (no SHMRDY, no doorbell traffic, no extra
-// fields) when the capability is not granted. The HELLO itself may
+// matrix: a shm-capable client talking to a server that does not grant
+// shm must emit, after the HELLO, exactly the message stream a client
+// with no shm eligibility emits — the ring machinery may not leak a
+// single byte (no SHMRDY, no doorbell traffic, no extra fields) when
+// the capability is not granted. The HELLO itself may
 // differ only in the shm token of the caps offer. Frames are compared
 // decoded because field order within a frame is map-iteration order;
 // splitFrames still proves the raw streams are pure length-prefixed
@@ -181,7 +164,7 @@ func TestTransportV3ClientBytesMatchV2(t *testing.T) {
 	keep := space.Join("mix")
 	defer keep.Leave()
 
-	// Same v1 server behavior behind both listeners; shared space so
+	// The same shm-less server behind both listeners; shared space so
 	// both clients see identical reply contents (and so send identical
 	// follow-ups).
 	run := func(network, laddr string) []byte {
@@ -191,7 +174,7 @@ func TestTransportV3ClientBytesMatchV2(t *testing.T) {
 		}
 		rl := &recListener{Listener: l}
 		srv := attrspace.NewServerWithSpace(space)
-		srv.SetCaps()
+		srv.SetShm(false)
 		go srv.Serve(rl)
 		defer srv.Close()
 
@@ -206,7 +189,7 @@ func TestTransportV3ClientBytesMatchV2(t *testing.T) {
 			t.Fatalf("Dial: %v", err)
 		}
 		if c.ShmActive() {
-			t.Fatal("shm active against a v1 server")
+			t.Fatal("shm active against a server that does not grant it")
 		}
 		for i := 0; i < 5; i++ {
 			if err := c.Put(fmt.Sprintf("k%d", i), "v"); err != nil {
@@ -236,7 +219,7 @@ func TestTransportV3ClientBytesMatchV2(t *testing.T) {
 		}
 	}
 
-	unixStream := run("unix", filepath.Join(t.TempDir(), "v1.sock"))
+	unixStream := run("unix", filepath.Join(t.TempDir(), "noshm.sock"))
 	tcpStream := run("tcp", "127.0.0.1:0")
 
 	uf := splitFrames(t, unixStream)
@@ -244,8 +227,9 @@ func TestTransportV3ClientBytesMatchV2(t *testing.T) {
 	if len(uf) != len(tf) {
 		t.Fatalf("frame counts differ: unix %d, tcp %d", len(uf), len(tf))
 	}
-	// HELLO: identical apart from the shm token in the caps offer (and
-	// only when this build can offer it at all).
+	// HELLO: identical apart from the caps offer, which is the shm
+	// token on unix (when this build can offer it at all) and absent on
+	// tcp.
 	uh, err := wire.Decode(uf[0])
 	if err != nil {
 		t.Fatalf("decode unix HELLO: %v", err)
@@ -254,16 +238,17 @@ func TestTransportV3ClientBytesMatchV2(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode tcp HELLO: %v", err)
 	}
-	ucaps, tcaps := uh.Get("caps"), th.Get("caps")
-	wantU := tcaps
+	wantU := ""
 	if wire.ShmSupported() {
-		wantU = tcaps + "," + wire.CapShm
+		wantU = wire.CapShm
 	}
-	if ucaps != wantU {
-		t.Errorf("unix caps offer = %q, want %q", ucaps, wantU)
+	if got := uh.Get("caps"); got != wantU {
+		t.Errorf("unix caps offer = %q, want %q", got, wantU)
 	}
-	uh.Set("caps", "x")
-	th.Set("caps", "x")
+	if got, ok := th.Lookup("caps"); ok {
+		t.Errorf("tcp HELLO offers caps %q, want none", got)
+	}
+	delete(uh.Fields, "caps")
 	if uh.Verb != th.Verb || !reflect.DeepEqual(uh.Fields, th.Fields) {
 		t.Errorf("HELLOs differ beyond caps: unix %v, tcp %v", uh.Fields, th.Fields)
 	}

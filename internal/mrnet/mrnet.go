@@ -51,6 +51,17 @@ import (
 	"tdp/internal/wire"
 )
 
+// Uplink capabilities a node offers in its REGISTER and a parent node
+// grants in an OK. The paradyn front-end never acks them, so a node
+// registered directly with it keeps a bare connection.
+const (
+	// muxCap: samples ride a byte-window flow-controlled stream.
+	muxCap = "mux"
+	// tbatchCap: a whole drain cycle's SAMPLE and TSAMPLE updates pack
+	// into one TBATCH frame.
+	tbatchCap = "tbatch"
+)
+
 // DialFunc opens the upstream connection (to the parent node or the
 // real front-end).
 type DialFunc func(addr string) (net.Conn, error)
@@ -237,14 +248,13 @@ func (n *Node) connectUpstream(resume bool) error {
 		Set("executable", fmt.Sprintf("aggregate(%d children)", children)).
 		SetInt("pid", 0).
 		SetInt("rank", 0).
-		// Offer the transport-v2 mux, batched flushes, and byte-granular
-		// windows. A parent node acks with OK caps=mux,tbatch,bytewin
-		// and the uplink upgrades; the real front-end ignores the field
-		// and everything stays v1. (The shm cap is not offered here:
-		// tree links cross hosts by construction, and a co-located
-		// daemon's attribute traffic already rides the attrspace
-		// clients, which negotiate shm on their own.)
-		Set("caps", wire.CapMux+","+wire.CapTBatch+","+wire.CapByteWin)
+		// Offer the mux and batched flushes. A parent node acks with OK
+		// caps=mux,tbatch and the uplink upgrades; the real front-end
+		// ignores the field and the uplink stays bare. (The shm cap is
+		// not offered here: tree links cross hosts by construction, and
+		// a co-located daemon's attribute traffic already rides the
+		// attrspace clients, which negotiate shm on their own.)
+		Set("caps", muxCap+","+tbatchCap)
 	if resume {
 		reg.Set("resume", "1")
 	}
@@ -297,10 +307,10 @@ func (n *Node) connectUpstream(resume bool) error {
 				caps := wire.ParseCaps(m.Get("caps"))
 				n.mu.Lock()
 				if n.up == up {
-					if caps[wire.CapMux] && n.upMux == nil {
-						n.upMux = wire.NewMux(up, wire.MuxConfig{Registry: n.reg, ByteWindow: caps[wire.CapByteWin]})
+					if caps[muxCap] && n.upMux == nil {
+						n.upMux = wire.NewMux(up, wire.MuxConfig{Registry: n.reg})
 					}
-					if caps[wire.CapTBatch] {
+					if caps[tbatchCap] {
 						n.upBatch = true
 					}
 				}
@@ -464,25 +474,22 @@ func (n *Node) handleChild(raw net.Conn) {
 	n.mu.Unlock()
 
 	// Grant the mux and tbatch caps to children that offered them
-	// (child nodes do; plain daemons and old binaries never see the
+	// (child nodes do; plain daemons offer nothing and never see the
 	// ack). The mux runs receive-side here: Accept meters the child's
 	// stamped samples and returns window credit as WINUPs. tbatch lets
 	// the child pack each drain cycle into one TBATCH frame.
 	var cm *wire.Mux
 	childCaps := wire.ParseCaps(first.Get("caps"))
 	var granted []string
-	if childCaps[wire.CapMux] {
-		// Byte-granular windows when the child offers them: a sample
-		// burst is then bounded in bytes, so one fat TBATCH cannot eat
-		// the same window as dozens of small flushes.
-		cm = wire.NewMux(wc, wire.MuxConfig{Registry: n.reg, ByteWindow: childCaps[wire.CapByteWin]})
-		granted = append(granted, wire.CapMux)
-		if childCaps[wire.CapByteWin] {
-			granted = append(granted, wire.CapByteWin)
-		}
+	if childCaps[muxCap] {
+		// Windows count bytes: a sample burst is bounded in bytes, so one
+		// fat TBATCH cannot eat the same window as dozens of small
+		// flushes.
+		cm = wire.NewMux(wc, wire.MuxConfig{Registry: n.reg})
+		granted = append(granted, muxCap)
 	}
-	if childCaps[wire.CapTBatch] {
-		granted = append(granted, wire.CapTBatch)
+	if childCaps[tbatchCap] {
+		granted = append(granted, tbatchCap)
 	}
 	if len(granted) > 0 {
 		wc.Send(wire.NewMessage("OK").Set("caps", strings.Join(granted, ",")))
@@ -820,7 +827,7 @@ func (n *Node) flush() {
 		send = func(m *wire.Message) error { return upX.SendOn(wire.StreamSamples, m) }
 	}
 	if batch {
-		// CapTBatch uplink: the drain cycle's dirty profile functions
+		// tbatch uplink: the drain cycle's dirty profile functions
 		// and untraced telemetry streams leave as one TBATCH frame. This
 		// is what keeps a reduction level from costing more frames than
 		// it saves: without it the self-published registry diffs alone

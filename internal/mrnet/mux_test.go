@@ -10,8 +10,8 @@ import (
 	"tdp/internal/telemetry"
 )
 
-// TestNodeUplinkUpgradesToMux verifies the transport-v2 negotiation on
-// a node→node link: the child offers the mux cap in REGISTER, the
+// TestNodeUplinkUpgradesToMux verifies the uplink negotiation on a
+// node→node link: the child offers the mux cap in REGISTER, the
 // parent acks with OK caps=mux, and the child's sample uplink moves
 // onto the flow-controlled samples stream — while reduction results
 // stay exactly what the bare connection produced.
@@ -55,7 +55,7 @@ func TestNodeUplinkUpgradesToMux(t *testing.T) {
 
 	// The leaf's uplink must have upgraded (the parent is a node and
 	// grants the cap; the real front-end upstream of the parent never
-	// does, so the parent's own uplink stays v1).
+	// does, so the parent's own uplink stays bare).
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		leaf.mu.Lock()

@@ -136,11 +136,11 @@ func TestEncodeDecodeIdentityQuick(t *testing.T) {
 	}
 }
 
-// FuzzMux feeds arbitrary _stream / _win header values through Accept
-// in both flow-control granularities. Invariants: never panic, a WINUP
-// is always transport-only, invalid stream IDs (0, non-numeric, past
-// maxStreamID) are never accounted, and no grant — however hostile —
-// pushes a send window past its initial size.
+// FuzzMux feeds arbitrary _stream / _win header values through Accept.
+// Invariants: never panic, a WINUP is always transport-only, invalid
+// stream IDs (0, non-numeric, past maxStreamID) are never accounted, and
+// no grant — however hostile — pushes a send window past its initial
+// size.
 func FuzzMux(f *testing.F) {
 	seeds := []struct {
 		stream, win string
@@ -154,12 +154,20 @@ func FuzzMux(f *testing.F) {
 		{"65537", "65537:1"},  // just past maxStreamID
 		{"", "1:1,2:2,3:3"},   // grants with no stream
 		{"3", ""},
+		{"1", "1:32768"},               // exactly the events window
+		{"2", "2:262145"},              // one byte past the bulk window: capped
+		{"3", "3:1073741824"},          // exactly maxByteGrant
+		{"65536", "65536:1"},           // exactly maxStreamID
+		{"1", "1:1,1:1,1:1"},           // repeated grants for one stream
+		{"2", "2:"},                    // grant with no amount
+		{"4", "4:9223372036854775807"}, // int64 max
+		{"+1", "+1:+1"},                // explicit signs
+		{" 2", "2 :1"},                 // stray whitespace
 	}
 	for _, s := range seeds {
-		f.Add(s.stream, s.win, true)
-		f.Add(s.stream, s.win, false)
+		f.Add(s.stream, s.win)
 	}
-	f.Fuzz(func(t *testing.T, stream, win string, byteMode bool) {
+	f.Fuzz(func(t *testing.T, stream, win string) {
 		ca, cb := net.Pipe()
 		defer ca.Close()
 		defer cb.Close()
@@ -173,7 +181,7 @@ func FuzzMux(f *testing.F) {
 				}
 			}
 		}()
-		x := NewMux(NewConn(ca), MuxConfig{ByteWindow: byteMode})
+		x := NewMux(NewConn(ca), MuxConfig{})
 
 		// A pure window update must always be transport-only.
 		wm := NewMessage(VerbWinUpdate)

@@ -11,45 +11,32 @@ import (
 	"tdp/internal/telemetry"
 )
 
-// This file implements transport v2's stream multiplexing and flow
-// control — an HTTP/2-lite layered over the existing framing rather
-// than a new binary format. A message's stream rides in the reserved
-// "_stream" field (absent = stream 0) and credit grants piggyback in
-// "_win", so a v1 peer that never negotiated the extension either
-// never sees the fields (senders only stamp them after capability
-// negotiation) or carries them through untouched per the reserved-key
-// contract.
+// This file implements stream multiplexing and flow control on every
+// attribute space connection: an HTTP/2-lite layered over the existing
+// framing rather than a new binary format. A message's stream rides in
+// the reserved "_stream" field (absent = stream 0) and credit grants
+// piggyback in "_win".
 //
-// Flow control is credit-based and comes in two granularities. The v2
-// baseline counts messages: each non-zero stream starts with the same
-// fixed number of send credits on both sides, a send consumes one, and
-// the receiver grants credits back as it consumes messages. Message
-// counting keeps the two ends' accounting trivially symmetric (no
-// drift from encoding differences), and bulk frames are bounded —
-// large snapshot replays are chunked (see attrspace) — so a
-// message-credit window still bounds the bytes a stream can have in
-// flight, loosely.
-//
-// Transport v3 (negotiated via CapByteWin) counts bytes instead: a
-// send consumes the message's EncodedSize, grants carry bytes, and
-// each stream's initial window is sized for its traffic class — bulk
-// and samples get room for throughput, events stay small so a
-// fan-out burst cannot buffer far ahead of a slow consumer. Byte
-// accounting stays symmetric because both ends measure the same
-// payload with the same EncodedSize: the sender costs the message
-// before stamping _stream/_win, the receiver after stripping them.
-// One message always moves even when it alone exceeds the whole
-// window — the sender waits for the window to be positive, then
-// deducts the full cost and lets the window go negative — so an
-// oversized frame degrades to stop-and-wait rather than deadlocking.
+// Flow control is credit-based and counts bytes: a send consumes the
+// message's EncodedSize, grants carry bytes, and each stream's initial
+// window is sized for its traffic class — bulk and samples get room for
+// throughput, events stay small so a fan-out burst cannot buffer far
+// ahead of a slow consumer. Byte accounting stays symmetric because
+// both ends measure the same payload with the same EncodedSize: the
+// sender costs the message before stamping _stream/_win, the receiver
+// after stripping them. One message always moves even when it alone
+// exceeds the whole window — the sender waits for the window to be
+// positive, then deducts the full cost and lets the window go negative
+// — so an oversized frame degrades to stop-and-wait rather than
+// deadlocking.
 //
 // Stream 0 is the control stream: request/reply traffic is
 // self-limiting (one reply per request) and exempt from flow control,
 // so the RPC hot path pays nothing beyond an empty-grant check.
 
 // Well-known stream IDs. The assignment is a protocol convention, not
-// a negotiation: both ends of a capability-negotiated connection use
-// the same IDs for the same traffic classes.
+// a negotiation: both ends of a connection use the same IDs for the
+// same traffic classes.
 const (
 	// StreamControl is the unflow-controlled request/reply stream.
 	StreamControl uint32 = 0
@@ -61,19 +48,13 @@ const (
 	StreamSamples uint32 = 3
 )
 
-// DefaultCredits is the initial per-stream send window, in messages.
-// It is a protocol constant: both ends of a negotiated connection
-// assume it, so changing it is a capability change.
-const DefaultCredits = 64
-
-// Per-stream initial windows for byte-granular flow control
-// (CapByteWin). Like DefaultCredits these are protocol constants both
-// ends assume. Bulk is sized to keep a chunked snapshot replay
-// streaming (one SnapChunkEntries part in flight plus headroom),
-// samples sized for sustained telemetry fan-in, and events kept small
-// on purpose: event latency is the point of that stream, so a slow
-// subscriber should exert back-pressure after a few dozen KiB, not
-// after megabytes.
+// Per-stream initial byte windows. They are protocol constants both
+// ends assume, so changing one is a protocol change. Bulk is sized to
+// keep a chunked snapshot replay streaming (one SnapChunkEntries part
+// in flight plus headroom), samples sized for sustained telemetry
+// fan-in, and events kept small on purpose: event latency is the point
+// of that stream, so a slow subscriber should exert back-pressure after
+// a few dozen KiB, not after megabytes.
 const (
 	ByteWindowEvents  = 32 << 10
 	ByteWindowBulk    = 256 << 10
@@ -99,10 +80,10 @@ func byteWindowFor(stream uint32) int {
 // grow the per-stream accounting maps without bound.
 const maxStreamID = 1 << 16
 
-// maxByteGrant bounds a single grant value in byte mode; anything
-// larger than 1 GiB is a corrupt or hostile peer (windows are capped
-// at their initial size anyway — this just rejects absurd parses
-// before they touch the accounting).
+// maxByteGrant bounds a single grant value; anything larger than 1 GiB
+// is a corrupt or hostile peer (windows are capped at their initial
+// size anyway — this just rejects absurd parses before they touch the
+// accounting).
 const maxByteGrant = 1 << 30
 
 // VerbWinUpdate is the explicit window-update verb, sent when a
@@ -115,14 +96,11 @@ var ErrMuxClosed = errors.New("wire: mux closed")
 
 // MuxConfig parameterizes a Mux.
 type MuxConfig struct {
-	// Credits is the initial per-stream send window in messages;
-	// 0 means DefaultCredits. In byte mode a non-zero Credits instead
-	// overrides every stream's byte window. Both ends must agree
-	// (tests only).
+	// Credits, when non-zero, overrides every stream's initial byte
+	// window. Both ends must agree (tests only).
 	Credits int
-	// ByteWindow selects byte-granular flow control (CapByteWin):
-	// windows and grants count payload bytes rather than messages.
-	// Both ends must agree — it is set from the negotiated capability.
+	// ByteWindow is ignored: windows always count bytes. It remains
+	// until the perfbench harness, which still sets it, drops it.
 	ByteWindow bool
 	// Registry receives the wire.mux.* metrics; nil records nothing.
 	Registry *telemetry.Registry
@@ -138,13 +116,12 @@ type MuxConfig struct {
 // window has accumulated.
 type Mux struct {
 	c       *Conn
-	credits int  // initial window per stream (messages, or byte override)
-	bytes   bool // byte-granular windows (CapByteWin)
+	credits int // uniform initial byte window override; 0 = per stream
 
 	mu      sync.Mutex
 	cond    *sync.Cond
 	send    map[uint32]int // remaining send window per stream
-	pending map[uint32]int // received-but-ungranted units per stream
+	pending map[uint32]int // received-but-ungranted bytes per stream
 	npend   int            // sum of pending
 	err     error
 
@@ -158,19 +135,9 @@ type Mux struct {
 // NewMux returns a Mux over c. The caller keeps using c's Recv
 // directly; every received message must be passed through Accept.
 func NewMux(c *Conn, cfg MuxConfig) *Mux {
-	credits := cfg.Credits
-	if credits <= 0 {
-		credits = DefaultCredits
-	}
-	if cfg.ByteWindow {
-		// In byte mode the per-stream windows come from byteWindowFor;
-		// cfg.Credits (when set) overrides them uniformly for tests.
-		credits = cfg.Credits
-	}
 	x := &Mux{
 		c:       c,
-		credits: credits,
-		bytes:   cfg.ByteWindow,
+		credits: max(cfg.Credits, 0),
 		send:    make(map[uint32]int),
 		pending: make(map[uint32]int),
 	}
@@ -195,10 +162,7 @@ func (x *Mux) SendOn(stream uint32, m *Message) error {
 		// Cost the message BEFORE stamping the mux fields; the receiver
 		// costs it after stripping them, so both ends account the same
 		// bytes (Encode is field-order independent).
-		cost := 1
-		if x.bytes {
-			cost = m.EncodedSize()
-		}
+		cost := m.EncodedSize()
 		if !x.tryAcquire(stream, cost) {
 			// About to block: push out any frames an enclosing Cork is
 			// holding — their receipt is what funds the grants we wait
@@ -218,12 +182,9 @@ func (x *Mux) SendOn(stream uint32, m *Message) error {
 	return nil
 }
 
-// winFor returns a stream's initial send window: messages in v2 mode,
-// bytes (per traffic class, unless overridden) in byte mode.
+// winFor returns a stream's initial send window in bytes: per traffic
+// class, unless overridden.
 func (x *Mux) winFor(stream uint32) int {
-	if !x.bytes {
-		return x.credits
-	}
 	if x.credits > 0 {
 		return x.credits
 	}
@@ -315,10 +276,7 @@ func (x *Mux) Accept(m *Message) (stream uint32, handled bool) {
 	sid := uint32(sid64)
 	// Cost AFTER stripping _stream/_win — the mirror of SendOn costing
 	// before stamping them, so both ends deduct identical amounts.
-	cost := 1
-	if x.bytes {
-		cost = m.EncodedSize()
-	}
+	cost := m.EncodedSize()
 	x.mu.Lock()
 	x.pending[sid] += cost
 	x.npend += cost
@@ -410,12 +368,8 @@ func (x *Mux) applyGrants(grants string) {
 		if err != nil || sid64 == 0 || sid64 > maxStreamID {
 			continue
 		}
-		maxGrant := maxStreamID
-		if x.bytes {
-			maxGrant = maxByteGrant
-		}
 		n, err := strconv.Atoi(pair[i+1:])
-		if err != nil || n <= 0 || n > maxGrant {
+		if err != nil || n <= 0 || n > maxByteGrant {
 			continue
 		}
 		sid := uint32(sid64)
@@ -448,45 +402,20 @@ func (x *Mux) Fail(err error) {
 }
 
 // ---------------------------------------------------------------------------
-// Capability negotiation helpers.
+// Handshake capabilities.
 //
-// Transport v2 is negotiated on the application handshake (HELLO for
-// the attribute space, REGISTER for the tool protocol): the initiator
-// lists the capabilities it speaks in a "caps" field, the responder
-// answers with the intersection of that list and its own, and both
-// sides enable exactly the granted set. A v1 peer ignores the unknown
-// field and grants nothing — transparent fallback, the MPUT pattern.
+// An initiator lists the optional upgrades it can use in a "caps" field
+// of its handshake (HELLO for the attribute space, REGISTER for the
+// mrnet uplink); the responder answers with the ones it grants.
+// Unknown names in an offer are ignored.
 
-// Capability names.
-const (
-	// CapMux: stream IDs + credit-window flow control on this conn.
-	CapMux = "mux"
-	// CapSnapd: the SNAPD delta-snapshot verb.
-	CapSnapd = "snapd"
-	// CapChunk: large snapshot replies arrive as part/more chunks.
-	CapChunk = "chunk"
-	// CapPing: wire-level PING/PONG liveness probes.
-	CapPing = "ping"
-	// CapCtxOp: the C* context-explicit verbs (CPUT, CGET, ...), which
-	// carry the target context per message instead of binding the whole
-	// connection to one context at HELLO. This is what lets a shard
-	// router keep one pooled connection per CASS shard and route any
-	// context's operations over it.
-	CapCtxOp = "ctxop"
-	// CapTBatch: the TBATCH verb — a whole mrnet drain cycle's SAMPLE
-	// and TSAMPLE updates packed into one frame on a node→node uplink.
-	CapTBatch = "tbatch"
-	// CapByteWin: byte-granular credit windows — _win entries carry
-	// bytes and per-stream windows come from the ByteWindow* constants.
-	// Without it a mux-capable peer stays on message counting (v2).
-	CapByteWin = "bytewin"
-	// CapShm: the shared-memory ring transport for same-host
-	// connections. Granted only when the server can see the client is
-	// local (unix socket); the framed protocol bootstraps over the
-	// socket and then both byte streams cut over to the mmap ring,
-	// with the socket retained as doorbell and liveness signal.
-	CapShm = "shm"
-)
+// CapShm is the attribute space's one negotiated upgrade: the
+// shared-memory ring transport for same-host connections. It depends on
+// locality, not on protocol version, so it is granted only when the
+// server can see the client is local (unix socket); the framed protocol
+// bootstraps over the socket and then both byte streams cut over to the
+// mmap ring, with the socket retained as doorbell and liveness signal.
+const CapShm = "shm"
 
 // ParseCaps splits a comma-separated capability list into a set.
 func ParseCaps(s string) map[string]bool {
@@ -503,25 +432,4 @@ func ParseCaps(s string) map[string]bool {
 		}
 	}
 	return out
-}
-
-// IntersectCaps returns the comma-separated subset of supported that
-// the peer offered, preserving supported's order (deterministic
-// replies).
-func IntersectCaps(offered string, supported []string) string {
-	if offered == "" || len(supported) == 0 {
-		return ""
-	}
-	set := ParseCaps(offered)
-	var b strings.Builder
-	for _, c := range supported {
-		if !set[c] {
-			continue
-		}
-		if b.Len() > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(c)
-	}
-	return b.String()
 }

@@ -86,11 +86,11 @@ func init() {
 		// Global-forwarding verbs (LASS → CASS relay).
 		"GPUT", "GMPUT", "GGET", "GTRYGET", "GDEL", "GSNAP",
 		"GSNAPM", "GCTXS",
-		// Context-explicit verbs (shard router → CASS shard, CapCtxOp):
+		// Context-explicit verbs (shard router → CASS shard):
 		// the pooled per-shard connection names the target context in a
 		// ctx field on every request instead of joining one at HELLO.
 		"CPUT", "CMPUT", "CGET", "CDEL", "CSNAP", "CCTXS",
-		// Batched uplink flush (mrnet node→node, CapTBatch).
+		// Batched uplink flush (mrnet node→node, granted as tbatch).
 		"TBATCH",
 		// Tool-stream verbs (paradyn front-end protocol, mrnet
 		// reduction network, proxy handshake) — the monitoring fan-in
@@ -98,10 +98,10 @@ func init() {
 		// per sample interval.
 		"REGISTER", "SAMPLE", "TSAMPLE", "DONE", "RUN",
 		"CONNECT", "REFUSED",
-		// Transport v2 verbs: delta snapshots, flow-control window
-		// updates, and wire-level liveness probes.
+		// Delta snapshots, flow-control window updates, and wire-level
+		// liveness probes.
 		"SNAPD", "DELTA", "WINUP", "PING", "PONG",
-		// Transport v3: the client's shared-memory cutover request.
+		// The client's shared-memory cutover request.
 		"SHMRDY",
 		// Common field keys.
 		"id", "attr", "value", "context", "error", "daemon", "json",
